@@ -60,15 +60,18 @@ class CircuitsSet:
     def to_json(self, ring) -> list:
         out = []
         for d, circ in self.by_degree:
+            # circuits share monomials: key and format each one once
+            keys = {m: canonical_key(m) for c in circ for m in c}
+            names = {m: ring.monomial_str(m) for m in keys}
             sets = sorted(
-                (sorted(c, key=canonical_key, reverse=True) for c in circ),
-                key=lambda ms: [canonical_key(m) for m in ms],
+                (sorted(c, key=keys.__getitem__, reverse=True) for c in circ),
+                key=lambda ms: [keys[m] for m in ms],
                 reverse=True,
             )
             out.append(
                 {
                     "degree": d,
-                    "circuits": [[ring.monomial_str(m) for m in c] for c in sets],
+                    "circuits": [[names[m] for m in c] for c in sets],
                 }
             )
         return out
@@ -121,12 +124,29 @@ def _vectors_dependent(vectors, fld) -> bool:
     return exact_rank(list(vectors), fld) < len(vectors)
 
 
+def _bit_indices(mask: int) -> list:
+    """Positions of the set bits of mask, increasing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def circuits_of_space(W: GradedMatrix, size_cap: int = None):
     """All inclusion-minimal supports of nonzero elements of the subspace.
 
-    Enumerates candidate supports by increasing cardinality, pruning every
-    superset of a found circuit.  Returns (frozenset of circuits, truncated);
-    the flag is set when the size cap stopped the enumeration early.
+    Levelwise search over the independent sets of support monomials, keyed
+    by bitmasks of their positions: a size-k candidate joins two independent
+    (k-1)-sets that differ only in their largest position, and is tested
+    only if all its (k-1)-subsets are independent.  Each test is one rank:
+    rank k makes it independent, rank k-1 makes it a circuit, because it
+    contains no smaller dependent set.  The circuits are the negative border
+    of the independent-set family (Mannila & Toivonen 1997).
+
+    Returns (frozenset of circuits, truncated); the flag is set when the size
+    cap stopped the enumeration early.
     """
     fld = W.ring.field
     if W.dim == 0:
@@ -142,17 +162,39 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
         raise ValueError("size_cap must be positive")
     limit = min(size_cap, max_size, len(candidates))
     truncated = limit < min(max_size, len(candidates))
+    vectors = [images[m] for m in candidates]
     circuits = set()
-    for size in range(1, limit + 1):
-        for combo in itertools.combinations(candidates, size):
-            s = frozenset(combo)
-            if any(c <= s for c in circuits):
-                continue
-            if _vectors_dependent([images[m] for m in combo], fld):
-                # minimal by construction: all smaller dependent sets were
-                # already collected, so s contains no proper circuit
-                assert len(s) - exact_rank([images[m] for m in combo], fld) == 1
-                circuits.add(s)
+    level = set()
+    for i, v in enumerate(vectors):
+        if any(not fld.is_zero(x) for x in v):
+            level.add(1 << i)
+        else:
+            circuits.add(frozenset((candidates[i],)))
+    size = 1
+    while level and size < limit:
+        size += 1
+        tops_of = {}
+        for mask in level:
+            top = mask.bit_length() - 1
+            tops_of.setdefault(mask ^ (1 << top), []).append(top)
+        independent = set()
+        for prefix, tops in tops_of.items():
+            tops.sort()
+            shared = [prefix ^ (1 << i) for i in _bit_indices(prefix)]
+            for a, b in itertools.combinations(tops, 2):
+                pair = (1 << a) | (1 << b)
+                if not all(s | pair in level for s in shared):
+                    continue
+                mask = prefix | pair
+                idx = _bit_indices(mask)
+                r = exact_rank([vectors[i] for i in idx], fld)
+                if r == size:
+                    independent.add(mask)
+                else:
+                    # all (k-1)-subsets are independent, so the set is minimal
+                    assert size - r == 1
+                    circuits.add(frozenset(candidates[i] for i in idx))
+        level = independent
     return frozenset(circuits), truncated
 
 

@@ -276,7 +276,8 @@ def main(argv=None) -> int:
     except (UncertifiedError, CapTooSmallError, MacaulayError, FanConsistencyError) as e:
         code = EXIT_UNCERTIFIED
         document["error"] = {"kind": type(e).__name__, "reason": str(e)}
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, ArithmeticError) as e:
+        # an arithmetic error that gets past the parsers still ends in a document
         code = EXIT_BAD_INPUT
         document["error"] = {"kind": type(e).__name__, "reason": str(e)}
     text = json.dumps(document, indent=2)

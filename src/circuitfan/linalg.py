@@ -129,6 +129,8 @@ def exact_rank(rows, fld) -> int:
     if not rows:
         return 0
     if isinstance(fld, RationalField):
+        if all(isinstance(x, int) for r in rows for x in r):
+            return rank_bareiss(rows)
         return rank_bareiss(integer_rows(rows))
     return len(rref(rows, fld)[0])
 

@@ -20,16 +20,34 @@ Monomial = tuple  # tuple[int, ...]
 # fields
 
 
+# Miller-Rabin with the first thirteen prime bases is deterministic below
+# this bound (Sorenson & Webster 2015): it is the least strong pseudoprime
+# to all of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic primality test for p < _MR_BOUND."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -77,7 +95,10 @@ class RationalField:
         return a == 0
 
     def parse(self, s: str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
 
     def to_str(self, a) -> str:
         return str(a)
@@ -96,6 +117,11 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
+        if self.p >= _MR_BOUND:
+            raise ValueError(
+                f"modulus {self.p} is too large: primality is certified only "
+                f"below {_MR_BOUND}"
+            )
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
@@ -143,6 +169,8 @@ class PrimeField:
     def parse(self, s: str):
         if "/" in s:
             num, den = s.split("/")
+            if int(den) % self.p == 0:
+                raise ValueError(f"denominator of {s!r} is zero in {self}")
             return self.div(int(num) % self.p, int(den) % self.p)
         return int(s) % self.p
 

@@ -18,6 +18,7 @@ from circuitfan import (
 )
 from circuitfan.circuits import AlphaVector, CircuitsSet, circuits_of_space
 from circuitfan.linalg import graded_basis, weight_component_dims
+from circuitfan.ring import QQ
 
 from conftest import random_homogeneous
 from oracles import circuits_bruteforce
@@ -73,6 +74,36 @@ class TestEnumeration:
                 circ, truncated = circuits_of_space(W)
                 assert not truncated
                 assert circ == circuits_bruteforce(W)
+
+    @staticmethod
+    def random_spaces(fld, rng, count=8):
+        for names in (("x", "y"), ("x", "y", "z")):
+            ring = PolyRing(names, fld)
+            for _ in range(count):
+                d = rng.choice([2, 3])
+                polys = [random_homogeneous(ring, d, rng) for _ in range(rng.randint(1, 3))]
+                yield span_matrix(ring, d, polys)
+
+    def test_matches_bruteforce_oracle_over_prime_fields(self):
+        rng = random.Random(45)
+        for p in (2, 32003):
+            for W in self.random_spaces(PrimeField(p), rng):
+                circ, truncated = circuits_of_space(W)
+                assert not truncated
+                assert circ == circuits_bruteforce(W)
+
+    def test_size_cap_keeps_the_small_circuits(self):
+        rng = random.Random(46)
+        for fld in (QQ, PrimeField(32003)):
+            for W in self.random_spaces(fld, rng, count=5):
+                if W.dim == 0:
+                    continue
+                full = circuits_bruteforce(W)
+                bound = min(W.ncols - W.dim + 1, len(W.support_columns()))
+                for k in (1, 2, 3):
+                    circ, truncated = circuits_of_space(W, size_cap=k)
+                    assert circ == {c for c in full if len(c) <= k}
+                    assert truncated == (k < bound)
 
     def test_antichain(self, suite):
         for I in suite[:8]:

@@ -198,6 +198,32 @@ class TestExitCodes:
         assert code == 2
         assert doc["truncated_at_size_cap"] == 1
 
+    def test_zero_denominator_over_q(self, capsys, tmp_path):
+        path = tmp_path / "z.ideal"
+        path.write_text("ring: Q; vars: x,y\ngens:\nx^2 - 1/0*y^2\n")
+        code, doc = run(capsys, ["gb", str(path)])
+        assert code == 1
+        assert doc["error"]["reason"].startswith("line 3:")
+
+    def test_zero_denominator_mod_p(self, capsys, tmp_path):
+        path = tmp_path / "z.ideal"
+        path.write_text("ring: GF(5); vars: x,y\ngens:\nx^2 - 1/5*y^2\n")
+        code, doc = run(capsys, ["gb", str(path)])
+        assert code == 1
+        assert doc["error"]["reason"].startswith("line 3:")
+
+    def test_zero_denominator_in_argument(self, capsys, ideal_file):
+        code, doc = run(capsys, ["flatfam", ideal_file, "--weight", "1,0", "--at", "1/0"])
+        assert code == 1
+        assert doc["error"]["kind"] == "ValueError"
+
+    def test_modulus_too_large(self, capsys, tmp_path):
+        path = tmp_path / "big.ideal"
+        path.write_text("ring: GF(3317044064679887385961981); vars: x,y\ngens:\nx^2\n")
+        code, doc = run(capsys, ["gb", str(path)])
+        assert code == 1
+        assert "too large" in doc["error"]["reason"]
+
     def test_cap_too_small_exit_2(self, capsys, tmp_path):
         path = tmp_path / "xy.ideal"
         path.write_text("ring: Q; vars: x,y\ngens:\nx*y\n")

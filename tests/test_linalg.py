@@ -46,6 +46,21 @@ class TestKernels:
         assert exact_rank([[1, 2, 3], [2, 4, 6]], fld) == 1  # 6 = 1 mod 5
         assert exact_rank([[1, 2, 3], [0, 1, 1], [2, 4, 1]], fld) == 2  # row3 = 2*row1
 
+    def test_exact_rank_ints_and_fractions_agree(self):
+        # integer rows skip denominator clearing; scaling a row by a nonzero
+        # fraction must not change the rank
+        rng = random.Random(12)
+        for _ in range(50):
+            rows = [
+                [rng.randint(-9, 9) for _ in range(5)]
+                for _ in range(rng.randint(1, 5))
+            ]
+            scaled = []
+            for r in rows:
+                c = Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(2, 7))
+                scaled.append([c * x for x in r])
+            assert exact_rank(rows, QQ) == exact_rank(scaled, QQ) == len(rref(scaled, QQ)[0])
+
 
 class TestGradedBasis:
     def test_principal_linear(self, R):

@@ -29,6 +29,25 @@ class TestFields:
         with pytest.raises(ValueError):
             PrimeField(32004)
 
+    def test_large_prime_modulus(self):
+        # a 20-digit prime: trial division would not finish
+        f = field_from_spec("GF(100000000000000000039)")
+        assert f.mul(f.invert(3), 3) == 1
+
+    def test_carmichael_modulus_rejected(self):
+        # 561 fools Fermat's test; 3215031751 is a strong pseudoprime to the
+        # bases 2, 3, 5 and 7
+        for n in (561, 3215031751):
+            with pytest.raises(ValueError, match="not prime"):
+                PrimeField(n)
+
+    def test_modulus_beyond_certified_range_rejected(self):
+        # the least strong pseudoprime to all thirteen Miller-Rabin bases
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(3317044064679887385961981)
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(2**89 - 1)
+
     def test_gf2_is_allowed(self):
         # char 2 is a legitimate field even though several rational-field
         # identities degenerate there
