@@ -3,13 +3,11 @@ and the filtration rank vector."""
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .elim import clear_denominators
 from .linalg import GradedMatrix, exact_rank, graded_basis, rank_rel
 from .ring import (
-    Monomial,
     RationalField,
     canonical_key,
     initial_support_w,
@@ -42,12 +40,6 @@ class CircuitsSet:
             if deg == d:
                 return circ
         return frozenset()
-
-    def all_circuits(self) -> frozenset:
-        out = set()
-        for _, circ in self.by_degree:
-            out |= circ
-        return frozenset(out)
 
     def __eq__(self, other):
         # equality of the circuit families; truncation bookkeeping is not
@@ -108,20 +100,8 @@ def _quotient_images(W: GradedMatrix):
         else:
             vec = [fld.zero] * q
             vec[nonpivot_pos[j]] = fld.one
-        if rational:
-            lcm = 1
-            for x in vec:
-                den = Fraction(x).denominator
-                lcm = lcm * den // math.gcd(lcm, den)
-            vec = tuple(int(Fraction(x) * lcm) for x in vec)
-        else:
-            vec = tuple(vec)
-        images[m] = vec
+        images[m] = clear_denominators(vec) if rational else tuple(vec)
     return images
-
-
-def _vectors_dependent(vectors, fld) -> bool:
-    return exact_rank(list(vectors), fld) < len(vectors)
 
 
 def _bit_indices(mask: int) -> list:
@@ -208,11 +188,11 @@ def is_circuit(W: GradedMatrix, S) -> bool:
     if any(m not in images for m in S):
         return False
     vecs = [images[m] for m in S]
-    if not _vectors_dependent(vecs, fld):
+    if exact_rank(vecs, fld) == len(vecs):
         return False
     for i in range(len(S)):
         rest = vecs[:i] + vecs[i + 1 :]
-        if rest and _vectors_dependent(rest, fld):
+        if rest and exact_rank(rest, fld) < len(rest):
             return False
     return True
 

@@ -11,7 +11,7 @@ import os
 import sys
 import time
 
-from .circuits import alpha_vector, circuits_truncated, initial_circuits
+from .circuits import alpha_vector, circuits_truncated
 from .fan import (
     FanConsistencyError,
     cone_of,

@@ -17,7 +17,6 @@ from .groebner import (
 )
 from .order import CANONICAL, DRL, MonomialOrder, leading_term, weighted
 from .ring import (
-    Monomial,
     Polynomial,
     initial_support_w,
     make_weight,
@@ -31,9 +30,7 @@ class FanConsistencyError(RuntimeError):
 
 
 def _primitive(v):
-    g = 0
-    for x in v:
-        g = math.gcd(g, abs(x))
+    g = math.gcd(*v)
     if g == 0:
         return None
     return tuple(x // g for x in v)

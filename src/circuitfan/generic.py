@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .circuits import CircuitsSet, circuits_truncated
+from .elim import inverse
 from .groebner import IdealHandle, ideal_equal, initial_ideal_w, transform_ideal
 from .order import DRL, MonomialOrder
 from .ring import PolyRing, PrimeField, Substitution, make_weight, poly_str
@@ -134,17 +135,7 @@ class BorelOmegaElement:
         return BorelOmegaElement(self.weight, prod, fld)
 
     def inverse(self) -> "BorelOmegaElement":
-        # back-substitution on a unit upper-triangular matrix
-        fld = self.field
-        n = len(self.weight)
-        inv = [[fld.one if i == j else fld.zero for j in range(n)] for i in range(n)]
-        for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n):
-                s = fld.zero
-                for k in range(i + 1, j + 1):
-                    s = fld.add(s, fld.mul(self.matrix[i][k], inv[k][j]))
-                inv[i][j] = fld.neg(s)
-        return BorelOmegaElement(self.weight, tuple(tuple(r) for r in inv), fld)
+        return BorelOmegaElement(self.weight, inverse(self.matrix, self.field), self.field)
 
 
 def _dot(fld, xs, ys):
@@ -193,6 +184,8 @@ def stab_check(
         raise ValueError("weight dimension mismatch")
     if list(w) != sorted(w, reverse=True) or min(w) < 0:
         raise ValueError("normalize the weight first (sorted, non-negative)")
+    if g_trials < 1 or b_trials < 1:
+        raise ValueError("g_trials and b_trials must be at least 1")
     fld = I.ring.field
     trivial_group = all(w[i] == w[j] for i in range(n) for j in range(n))
     trials = []

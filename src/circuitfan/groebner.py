@@ -3,13 +3,12 @@ lex-segment ideals and the one-parameter flat family."""
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
+from .elim import clear_denominators
 from .order import CANONICAL, DRL, MonomialOrder, leading_monomial, leading_term, weighted
 from .ring import (
-    Monomial,
     Polynomial,
     PolyRing,
     RationalField,
@@ -41,11 +40,6 @@ class CapTooSmallError(ValueError):
 class GroebnerBasis:
     order: MonomialOrder
     elements: tuple  # monic polynomials, canonically sorted
-    reduced: bool = True
-
-    @property
-    def max_degree(self) -> int:
-        return max((g.degree() for g in self.elements), default=0)
 
     def leading_monomials(self) -> list:
         return [leading_monomial(g, self.order) for g in self.elements]
@@ -67,16 +61,11 @@ class IdealHandle:
         self.ring = ring
         self.generators = tuple(gens)
         self._cache = {}
-        self._lock = threading.Lock()
 
     def groebner(self, order: MonomialOrder = CANONICAL) -> GroebnerBasis:
-        with self._lock:
-            gb = self._cache.get(order)
-        if gb is not None:
-            return gb
-        gb = buchberger_reduced(self, order)
-        with self._lock:
-            self._cache.setdefault(order, gb)
+        gb = self._cache.get(order)
+        if gb is None:
+            gb = self._cache[order] = buchberger_reduced(self, order)
         return gb
 
     def is_zero(self) -> bool:
@@ -150,17 +139,12 @@ def _primitive_scaled(f: Polynomial, order: MonomialOrder) -> Polynomial:
     fld = f.ring.field
     if not isinstance(fld, RationalField):
         return _monic(f, order)
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    num = 0
-    for c in f.terms.values():
-        num = math.gcd(num, abs(c.numerator) * (den // c.denominator))
-    scale = Fraction(den, num)
+    ints = clear_denominators(f.terms.values())
+    g = math.gcd(*ints)
     _, lc = leading_term(f, order)
     if lc < 0:
-        scale = -scale
-    return f.scale(scale)
+        g = -g
+    return Polynomial(f.ring, {m: Fraction(c // g) for m, c in zip(f.terms, ints)})
 
 
 def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> GroebnerBasis:
@@ -200,7 +184,7 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
         if chain_criterion(i, j):
             continue
         s = _s_polynomial(basis[i], basis[j], order)
-        h = normal_form(s, GroebnerBasis(order, tuple(basis), reduced=False))
+        h = normal_form(s, GroebnerBasis(order, tuple(basis)))
         if h.is_zero():
             continue
         h = _primitive_scaled(h, order)
@@ -230,9 +214,7 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
     while changed:
         changed = False
         for i in range(len(final)):
-            others = GroebnerBasis(
-                order, tuple(final[:i] + final[i + 1 :]), reduced=False
-            )
+            others = GroebnerBasis(order, tuple(final[:i] + final[i + 1 :]))
             r = normal_form(final[i], others)
             if r != final[i]:
                 final[i] = _primitive_scaled(r, order)
@@ -240,7 +222,7 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
 
     final = [_monic(g, order) for g in final]
     final.sort(key=lambda g: order.key(leading_monomial(g, order)))
-    return GroebnerBasis(order, tuple(final), reduced=True)
+    return GroebnerBasis(order, tuple(final))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +263,6 @@ class HilbertData:
     n: int
     dmax: int
     ideal_dims: tuple  # dim I_d for d = 0..dmax
-    lex_generator_bound: int = None
 
     def quotient_dims(self) -> tuple:
         return tuple(dim_degree(self.n, d) - v for d, v in enumerate(self.ideal_dims))
@@ -467,5 +448,5 @@ def basis_json(gb: GroebnerBasis) -> dict:
     return {
         "order": str(gb.order),
         "elements": [poly_str(g) for g in gb.elements],
-        "reduced": gb.reduced,
+        "reduced": True,
     }

@@ -2,13 +2,11 @@
 relative rank functionals."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .elim import clear_denominators, rank_bareiss, rref
 from .order import CANONICAL, DRL, MonomialOrder, weighted
 from .ring import (
-    Monomial,
     Polynomial,
     PolyRing,
     RationalField,
@@ -59,68 +57,12 @@ class GradedMatrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination kernels
-
-
-def rref(rows, fld):
-    """Reduced row echelon form over a field; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if not fld.is_zero(rows[i][col])), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = fld.invert(rows[rank][col])
-        rows[rank] = [fld.mul(inv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not fld.is_zero(rows[i][col]):
-                factor = rows[i][col]
-                rows[i] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return [tuple(r) for r in rows[:rank]], pivots
+# ranks
 
 
 def integer_rows(rows):
     """Clear denominators rowwise, mapping rational rows to integer rows."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            d = Fraction(x).denominator
-            lcm = lcm * d // math.gcd(lcm, d)
-        out.append([int(Fraction(x) * lcm) for x in row])
-    return out
-
-
-def rank_bareiss(rows) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, nrows):
-            head = m[i][col]
-            m[i] = [
-                (pivot * m[i][j] - head * m[rank][j]) // prev
-                for j in range(ncols)
-            ]
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return [clear_denominators(r) for r in rows]
 
 
 def exact_rank(rows, fld) -> int:

@@ -13,11 +13,24 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .elim import clear_denominators, inverse, rref
+
 Monomial = tuple  # tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
 # fields
+
+
+_SCALAR_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
+def _scalar_parts(s: str):
+    """Numerator and denominator of a scalar literal ``[+-]?\\d+(/\\d+)?``."""
+    if not _SCALAR_RE.fullmatch(s):
+        raise ValueError(f"invalid scalar {s!r}: expected an integer or a/b")
+    num, _, den = s.partition("/")
+    return int(num), int(den or 1)
 
 
 # Miller-Rabin with the first thirteen prime bases is deterministic below
@@ -80,7 +93,7 @@ class RationalField:
     def invert(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return Fraction(1, a)
 
     def div(self, a, b):
         return a / self.one / b
@@ -95,10 +108,10 @@ class RationalField:
         return a == 0
 
     def parse(self, s: str):
-        try:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {s!r}") from None
+        num, den = _scalar_parts(s)
+        if den == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(num, den)
 
     def to_str(self, a) -> str:
         return str(a)
@@ -167,12 +180,10 @@ class PrimeField:
         return a % self.p == 0
 
     def parse(self, s: str):
-        if "/" in s:
-            num, den = s.split("/")
-            if int(den) % self.p == 0:
-                raise ValueError(f"denominator of {s!r} is zero in {self}")
-            return self.div(int(num) % self.p, int(den) % self.p)
-        return int(s) % self.p
+        num, den = _scalar_parts(s)
+        if den % self.p == 0:
+            raise ValueError(f"denominator of {s!r} is zero in {self}")
+        return self.div(num % self.p, den % self.p)
 
     def to_str(self, a) -> str:
         return str(a % self.p)
@@ -261,11 +272,7 @@ def dim_degree(n: int, d: int) -> int:
 
 def make_weight(entries) -> tuple:
     """Normalize a weight to integer entries by clearing denominators."""
-    fracs = [Fraction(e) for e in entries]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    return tuple(int(f * lcm) for f in fracs)
+    return clear_denominators(entries)
 
 
 def weight_value(m: Monomial, w) -> int:
@@ -444,17 +451,6 @@ class Polynomial:
         return f"Polynomial({poly_str(self)!r})"
 
 
-def poly_arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    """Dispatch basic ring arithmetic by name (CLI and test plumbing)."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # text grammar
 
@@ -608,7 +604,7 @@ class Substitution:
         self.ring = ring
         self.matrix = rows
         self.convention = convention
-        if _field_rank(ring.field, [list(r) for r in rows]) != n:
+        if len(rref(rows, ring.field)[0]) != n:
             raise ValueError("substitution matrix is singular")
         fld = ring.field
         images = []
@@ -645,7 +641,7 @@ class Substitution:
         return out
 
     def inverse(self) -> "Substitution":
-        inv = _field_matrix_inverse(self.ring.field, self.matrix)
+        inv = inverse(self.matrix, self.ring.field)
         return Substitution(self.ring, inv, self.convention)
 
     @staticmethod
@@ -669,48 +665,3 @@ class Substitution:
         ]
         return Substitution(ring, m)
 
-
-def _field_rank(fld, rows) -> int:
-    """Rank by plain elimination over the field (small matrices only)."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next(
-            (i for i in range(rank, len(rows)) if not fld.is_zero(rows[i][col])), None
-        )
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = fld.invert(rows[rank][col])
-        rows[rank] = [fld.mul(inv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not fld.is_zero(rows[i][col]):
-                factor = rows[i][col]
-                rows[i] = [
-                    fld.sub(x, fld.mul(factor, y)) for x, y in zip(rows[i], rows[rank])
-                ]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _field_matrix_inverse(fld, rows):
-    n = len(rows)
-    aug = [list(r) + [fld.one if i == j else fld.zero for j in range(n)] for i, r in enumerate(rows)]
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, n) if not fld.is_zero(aug[i][col])), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = fld.invert(aug[rank][col])
-        aug[rank] = [fld.mul(inv, x) for x in aug[rank]]
-        for i in range(n):
-            if i != rank and not fld.is_zero(aug[i][col]):
-                factor = aug[i][col]
-                aug[i] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(aug[i], aug[rank])]
-        rank += 1
-    return [r[n:] for r in aug]

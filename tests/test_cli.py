@@ -101,6 +101,16 @@ class TestBasics:
         assert doc["at_0"] == ["x^2"]
         assert doc["at"] == ["x^2 + 2*x*y"]
 
+    @pytest.mark.parametrize(
+        "field, expected",
+        [("Q", "x^2 - 2*x*y + 4*y^2"), ("gf:7", "x^2 + 5*x*y + 4*y^2")],
+    )
+    def test_flatfam_negative_at(self, capsys, ideal_file, field, expected):
+        argv = ["flatfam", ideal_file, "--weight", "1,0", "--field", field, "--at", "-2"]
+        code, doc = run(capsys, argv)
+        assert code == 0
+        assert doc["at"] == [expected]
+
     def test_stab(self, capsys, ideal_file):
         code, doc = run(
             capsys, ["stab", ideal_file, "--weight", "1,0", "--seed", "5"]
@@ -215,6 +225,21 @@ class TestExitCodes:
     def test_zero_denominator_in_argument(self, capsys, ideal_file):
         code, doc = run(capsys, ["flatfam", ideal_file, "--weight", "1,0", "--at", "1/0"])
         assert code == 1
+        assert doc["error"]["kind"] == "ValueError"
+
+    @pytest.mark.parametrize("field", ["Q", "gf:7"])
+    def test_decimal_scalar_rejected(self, capsys, ideal_file, field):
+        argv = ["flatfam", ideal_file, "--weight", "1,0", "--field", field, "--at", "0.5"]
+        code, doc = run(capsys, argv)
+        assert code == 1
+        assert doc["error"]["kind"] == "ValueError"
+        assert "'0.5'" in doc["error"]["reason"]
+
+    @pytest.mark.parametrize("flag", ["--gtrials", "--btrials"])
+    def test_stab_zero_trials(self, capsys, ideal_file, flag):
+        code, doc = run(capsys, ["stab", ideal_file, "--weight", "1,0", flag, "0"])
+        assert code == 1
+        assert "passed" not in doc
         assert doc["error"]["kind"] == "ValueError"
 
     def test_modulus_too_large(self, capsys, tmp_path):

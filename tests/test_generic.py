@@ -119,15 +119,17 @@ class TestBorelOmega:
     def test_group_axioms(self):
         spec = RandomSpec(14)
         w = (3, 1, 0)
-        a = borel_omega_sample(w, spec, QQ, stream=0)
-        b = borel_omega_sample(w, spec, QQ, stream=1)
-        ab = a.compose(b)
-        assert isinstance(ab, BorelOmegaElement)  # closure, via validation
-        ident = a.compose(a.inverse())
         n = len(w)
-        assert ident.matrix == tuple(
-            tuple(QQ.one if i == j else QQ.zero for j in range(n)) for i in range(n)
-        )
+        for fld in (QQ, PrimeField(32003)):
+            a = borel_omega_sample(w, spec, fld, stream=0)
+            b = borel_omega_sample(w, spec, fld, stream=1)
+            ab = a.compose(b)
+            assert isinstance(ab, BorelOmegaElement)  # closure, via validation
+            ident = tuple(
+                tuple(fld.one if i == j else fld.zero for j in range(n)) for i in range(n)
+            )
+            assert a.compose(a.inverse()).matrix == ident
+            assert a.inverse().compose(a).matrix == ident
 
     def test_action_direction(self):
         # a variable moves only into variables of strictly larger weight

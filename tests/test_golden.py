@@ -1,10 +1,12 @@
-"""Byte-identical outputs: the jobs of the benchmark's ``circuits`` workload,
-on its default seed, must reproduce the stdout hashes and exit codes recorded
-in bench/golden.json."""
+"""Byte-identical outputs: the jobs of every benchmark workload, on its
+default seed, must reproduce the stdout hashes and exit codes recorded in
+bench/golden.json."""
 import hashlib
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from circuitfan import cli
 
@@ -18,11 +20,12 @@ def load_corpus():
     return module
 
 
-def test_circuits_workload_matches_golden(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("workload", ["circuits", "generic", "groebner", "fan"])
+def test_workload_matches_golden(workload, tmp_path, monkeypatch, capsys):
     golden = json.loads((BENCH / "golden.json").read_text())
-    expected = golden["workloads"]["circuits"]
+    expected = golden["workloads"][workload]
     corpus = load_corpus()
-    files, jobs = corpus.build("circuits", golden["seed"])
+    files, jobs = corpus.build(workload, golden["seed"])
     assert sorted(expected) == sorted(name for name, _ in jobs)
     corpus.write(files, tmp_path)
     # outputs echo the input path and the seed, so both must match the run

@@ -8,6 +8,7 @@ from circuitfan import (
     PolyRing,
     Polynomial,
     PrimeField,
+    QQ,
     Substitution,
     field_from_spec,
     homogenize_w,
@@ -119,6 +120,8 @@ class TestWeights:
     def test_make_weight_clears_denominators(self):
         assert make_weight([Fraction(1, 2), Fraction(1, 3)]) == (3, 2)
         assert make_weight([1, -1]) == (1, -1)
+        assert make_weight([2, Fraction(-1, 4), "5/6"]) == (24, -3, 10)
+        assert make_weight([]) == ()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -201,13 +204,14 @@ class TestSubstitution:
         ),
     )
     def test_inverse_roundtrip(self, entries, terms):
-        R = PolyRing(("x", "y"))
-        a, b, c, d = entries
-        if a * d - b * c == 0:
-            return
-        s = Substitution(R, [[Fraction(a), Fraction(b)], [Fraction(c), Fraction(d)]])
-        f = Polynomial(R, {m: Fraction(v) for m, v in terms.items()})
-        assert s.inverse().apply(s.apply(f)) == f
+        for fld in (QQ, PrimeField(32003)):
+            R = PolyRing(("x", "y"), fld)
+            a, b, c, d = (fld.from_int(e) for e in entries)
+            if fld.is_zero(fld.sub(fld.mul(a, d), fld.mul(b, c))):
+                continue
+            s = Substitution(R, [[a, b], [c, d]])
+            f = Polynomial(R, {m: fld.from_int(v) for m, v in terms.items()})
+            assert s.inverse().apply(s.apply(f)) == f
 
     def test_column_convention(self, R):
         s = Substitution(R, [[1, 5], [0, 1]], convention="column")
