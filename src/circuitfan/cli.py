@@ -41,7 +41,7 @@ from .groebner import (
 )
 from .linalg import graded_basis
 from .order import parse_order
-from .ring import PrimeField, field_from_spec, make_weight, poly_str, PolyRing
+from .ring import PrimeField, field_from_spec, parse_weight, poly_str, PolyRing
 from .groebner import IdealHandle
 
 SEED_ENV = "CIRCUITFAN_SEED"
@@ -49,10 +49,6 @@ SEED_ENV = "CIRCUITFAN_SEED"
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_UNCERTIFIED = 2
-
-
-def _weight_arg(text: str):
-    return make_weight([x.strip() for x in text.split(",")])
 
 
 def _load_ideal(path: str, field_override: str = None):
@@ -157,7 +153,7 @@ def _dispatch(args, ring, ideal, seed):
         gb = ideal.groebner(parse_order(args.order))
         return EXIT_OK, {"basis": basis_json(gb)}
     if cmd == "inw":
-        w = _weight_arg(args.weight)
+        w = parse_weight(args.weight)
         J = initial_ideal_w(ideal, w, tie=parse_order(args.tie))
         return EXIT_OK, {
             "weight": list(w),
@@ -177,7 +173,7 @@ def _dispatch(args, ring, ideal, seed):
             doc["genericity"] = "heuristic (finite field)"
         return EXIT_OK, doc
     if cmd == "alpha":
-        w, perm, shift = normalize_weight(_weight_arg(args.weight), ring.n)
+        w, perm, shift = normalize_weight(parse_weight(args.weight), ring.n)
         W = graded_basis(ideal, args.degree)
         av = alpha_vector(W, w)
         return EXIT_OK, {
@@ -188,7 +184,7 @@ def _dispatch(args, ring, ideal, seed):
             "alpha": list(av.values),
         }
     if cmd == "fan-cell":
-        w = _weight_arg(args.weight)
+        w = parse_weight(args.weight)
         cone = cone_of(ideal, w, tie=parse_order(args.tie))
         return EXIT_OK, {"weight": list(w), **cone.to_json()}
     if cmd == "fan-enum":
@@ -205,7 +201,7 @@ def _dispatch(args, ring, ideal, seed):
         verdict = generic_fan_compare(ideal, other, spec, mode=args.mode)
         return EXIT_OK, verdict
     if cmd == "stab":
-        w, perm, shift = normalize_weight(_weight_arg(args.weight), ring.n)
+        w, perm, shift = normalize_weight(parse_weight(args.weight), ring.n)
         report = stab_check(
             ideal,
             w,
@@ -242,7 +238,7 @@ def _dispatch(args, ring, ideal, seed):
             "universal_basis": [poly_str(g) for g in basis],
         }
     if cmd == "flatfam":
-        w = _weight_arg(args.weight)
+        w = parse_weight(args.weight)
         H = homogenize_ideal_w(ideal, w)
         doc = {
             "weight": list(w),

@@ -2,7 +2,9 @@
 lex-segment ideals and the one-parameter flat family."""
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,14 +93,24 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     fld = ring.field
     reducers = [(leading_term(g, order), g) for g in G.elements]
     key = order.key
+
+    def entry(m):
+        return tuple(map(operator.neg, key(m))), m
+
     # in-place elimination on a plain dict: every monomial introduced by a
     # reduction step is strictly below the eliminated one, so moving maximal
-    # irreducible terms to the remainder is safe
+    # irreducible terms to the remainder is safe.  The heap holds negated
+    # order keys, pushed when a monomial enters the work dict; an entry whose
+    # monomial has since cancelled is stale and skipped.
     work = dict(f.terms)
+    heap = [entry(m) for m in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         for (lm, lc), g in reducers:
             if mono_divides(lm, m):
                 factor = mono_div(m, lm)
@@ -107,9 +119,14 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
                     if gm == lm:
                         continue
                     t = mono_mul(gm, factor)
-                    v = fld.sub(work.get(t, fld.zero), fld.mul(coeff, gc))
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = fld.neg(fld.mul(coeff, gc))
+                        heapq.heappush(heap, entry(t))
+                        continue
+                    v = fld.sub(old, fld.mul(coeff, gc))
                     if fld.is_zero(v):
-                        work.pop(t, None)
+                        del work[t]
                     else:
                         work[t] = v
                 break
@@ -155,14 +172,18 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
     # drop duplicates up front
     seen = set()
     basis = [g for g in basis if not (g in seen or seen.add(g))]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
     lm = [leading_monomial(g, order) for g in basis]
+    pairs = set()
+    queue = []
 
-    def lcm_key(pair):
+    def add_pairs(k):
         # homogeneous input: processing by S-polynomial degree keeps low-degree
-        # reducers available early even under non-graded weight orders
-        l = mono_lcm(lm[pair[0]], lm[pair[1]])
-        return (sum(l), order.key(l))
+        # reducers available early even under non-graded weight orders; each
+        # pair is keyed once, ties go by (i, j)
+        for i in range(k):
+            l = mono_lcm(lm[i], lm[k])
+            pairs.add((i, k))
+            heapq.heappush(queue, (sum(l), order.key(l), i, k))
 
     def chain_criterion(i, j):
         l = mono_lcm(lm[i], lm[j])
@@ -176,8 +197,10 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
                 return True
         return False
 
-    while pairs:
-        i, j = min(pairs, key=lcm_key)
+    for k in range(len(basis)):
+        add_pairs(k)
+    while queue:
+        _, _, i, j = heapq.heappop(queue)
         pairs.remove((i, j))
         if mono_mul(lm[i], lm[j]) == mono_lcm(lm[i], lm[j]):
             continue  # coprime leading monomials
@@ -190,8 +213,7 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
         h = _primitive_scaled(h, order)
         basis.append(h)
         lm.append(leading_monomial(h, order))
-        k = len(basis) - 1
-        pairs.update((i2, k) for i2 in range(k))
+        add_pairs(len(basis) - 1)
 
     # minimalize: keep only elements whose leading monomial is not divisible
     # by another kept leading monomial

@@ -4,7 +4,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .ring import Monomial, Polynomial, canonical_key, make_weight, weight_value
+from .ring import Monomial, Polynomial, canonical_key, make_weight, parse_weight, weight_value
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,5 @@ def parse_order(text: str) -> MonomialOrder:
         return DRL
     m = _ORDER_RE.fullmatch(s)
     if m:
-        w = [x.strip() for x in m.group(1).split(",")]
-        return weighted([int(x) for x in w], tie=parse_order(m.group(2)))
+        return weighted(parse_weight(m.group(1)), tie=parse_order(m.group(2)))
     raise ValueError(f"cannot parse order {text!r}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,11 +219,11 @@ def mono_degree(m: Monomial) -> int:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
@@ -234,7 +235,7 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def canonical_key(m: Monomial):
@@ -273,6 +274,12 @@ def dim_degree(n: int, d: int) -> int:
 def make_weight(entries) -> tuple:
     """Normalize a weight to integer entries by clearing denominators."""
     return clear_denominators(entries)
+
+
+def parse_weight(text: str) -> tuple:
+    """Weight from comma-separated scalars in the coefficient grammar
+    ``[+-]?\\d+(/\\d+)?``, denominators cleared: ``1/2,1`` gives ``(1, 2)``."""
+    return make_weight([QQ.parse(x.strip()) for x in text.split(",")])
 
 
 def weight_value(m: Monomial, w) -> int:

@@ -111,6 +111,18 @@ class TestBasics:
         assert code == 0
         assert doc["at"] == [expected]
 
+    def test_order_fraction_weight(self, capsys, pair_file):
+        code, doc = run(capsys, ["gb", pair_file, "--order", "w:1/2,1;tie=drl"])
+        assert code == 0
+        assert doc["basis"]["order"] == "w:1,2;tie=drl"
+        _, ref = run(capsys, ["gb", pair_file, "--order", "w:1,2;tie=drl"])
+        assert doc["basis"] == ref["basis"]
+
+    def test_weight_fraction(self, capsys, ideal_file):
+        code, doc = run(capsys, ["inw", ideal_file, "--weight", "1/2,1"])
+        assert code == 0
+        assert doc["weight"] == [1, 2]
+
     def test_stab(self, capsys, ideal_file):
         code, doc = run(
             capsys, ["stab", ideal_file, "--weight", "1,0", "--seed", "5"]
@@ -234,6 +246,19 @@ class TestExitCodes:
         assert code == 1
         assert doc["error"]["kind"] == "ValueError"
         assert "'0.5'" in doc["error"]["reason"]
+
+    @pytest.mark.parametrize("value", ["0.5", "1e3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["inw", "--weight", "{},1"], ["gb", "--order", "w:{},1;tie=drl"]],
+        ids=["weight", "order"],
+    )
+    def test_weight_scalar_grammar(self, capsys, ideal_file, argv, value):
+        command, flag, template = argv
+        code, doc = run(capsys, [command, ideal_file, flag, template.format(value)])
+        assert code == 1
+        assert doc["error"]["kind"] == "ValueError"
+        assert f"'{value}'" in doc["error"]["reason"]
 
     @pytest.mark.parametrize("flag", ["--gtrials", "--btrials"])
     def test_stab_zero_trials(self, capsys, ideal_file, flag):

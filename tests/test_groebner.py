@@ -10,6 +10,7 @@ from circuitfan import (
     IdealHandle,
     PolyRing,
     Substitution,
+    buchberger_reduced,
     hilbert_function,
     homogenize_ideal_w,
     ideal_equal,
@@ -24,12 +25,14 @@ from circuitfan import (
 )
 from circuitfan.groebner import (
     CapTooSmallError,
+    GroebnerBasis,
     MacaulayError,
     basis_json,
     ideal_file_text,
     lex_bound,
 )
-from circuitfan.ring import poly_str
+from circuitfan.order import leading_monomial, leading_term
+from circuitfan.ring import QQ, PrimeField, Polynomial, mono_div, mono_divides, mono_mul, poly_str
 
 from conftest import make_suite, random_homogeneous
 
@@ -37,6 +40,57 @@ from conftest import make_suite, random_homogeneous
 @pytest.fixture
 def R():
     return PolyRing(("x", "y"))
+
+
+GF = PrimeField(32003)
+
+
+def over(field, I):
+    """The ideal's generators in the same variables over the given field."""
+    if field == I.ring.field:
+        return I
+    ring = PolyRing(I.ring.names, field)
+    return IdealHandle(ring, [ring.parse(poly_str(g)) for g in I.generators])
+
+
+def reference_normal_form(f, G, reentered=None):
+    """Division by rescanning: take the order-maximal monomial of the work
+    dict at every step and divide by the first element of G, in basis order,
+    whose leading monomial divides it.  Monomials that enter the work dict
+    again after cancelling are added to ``reentered``."""
+    order, fld = G.order, f.ring.field
+    work, remainder, cancelled = dict(f.terms), {}, set()
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for g in G.elements:
+            lm, lc = leading_term(g, order)
+            if mono_divides(lm, m):
+                coeff, factor = fld.div(c, lc), mono_div(m, lm)
+                for gm, gc in g.terms.items():
+                    if gm == lm:
+                        continue
+                    t = mono_mul(gm, factor)
+                    if t in cancelled and reentered is not None:
+                        reentered.add(t)
+                    v = fld.sub(work.get(t, fld.zero), fld.mul(coeff, gc))
+                    if fld.is_zero(v):
+                        del work[t]
+                        cancelled.add(t)
+                    else:
+                        work[t] = v
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.ring, remainder)
+
+
+def s_polynomial(f, g, order):
+    (mf, cf), (mg, cg) = leading_term(f, order), leading_term(g, order)
+    lcm = tuple(map(max, mf, mg))
+    fld = f.ring.field
+    a = f.mul_monomial(mono_div(lcm, mf)).scale(fld.invert(cf))
+    return a - g.mul_monomial(mono_div(lcm, mg)).scale(fld.invert(cg))
 
 
 class TestNormalForm:
@@ -61,6 +115,31 @@ class TestNormalForm:
             f = random_homogeneous(R, rng.choice([2, 3, 4]), rng)
             r = f - normal_form(f, G)
             assert normal_form(r, G).is_zero()
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF32003"])
+    @pytest.mark.parametrize("order", [LEX, weighted((2, -1))], ids=["lex", "w2,-1"])
+    def test_matches_reference_division(self, suite, field, order):
+        # non-homogeneous f: a sum of homogeneous parts of degrees 0..4; the
+        # generators, not being a Groebner basis, make the divisor choice show
+        rng = random.Random(23)
+        for I in suite[0:10:2]:
+            I = over(field, I)
+            for G in (I.groebner(order), GroebnerBasis(order, I.generators)):
+                for _ in range(5):
+                    f = sum(
+                        (random_homogeneous(I.ring, d, rng) for d in range(5)),
+                        I.ring.zero(),
+                    )
+                    assert normal_form(f, G) == reference_normal_form(f, G)
+
+    def test_cancelled_term_reenters(self, R):
+        # x*y^2 brings in y^4; x*y cancels y^3; y^4 brings y^3 back
+        G = GroebnerBasis(LEX, (R.parse("x*y + y^3"), R.parse("y^3 - y^2")))
+        f = R.parse("-x*y^2 + x*y + y^3")
+        reentered = set()
+        assert reference_normal_form(f, G, reentered) == R.parse("y^2")
+        assert reentered == {(0, 3)}
+        assert normal_form(f, G) == R.parse("y^2")
 
 
 class TestBuchberger:
@@ -105,6 +184,51 @@ class TestBuchberger:
                     if i == j:
                         continue
                     assert not any(mono_divides(lm, m) for m in g.terms)
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF32003"])
+    @pytest.mark.parametrize(
+        "order",
+        [LEX, DRL, (3, 2, 1), (0, 1, -1)],
+        ids=["lex", "drl", "w3,2,1", "w0,1,-1"],
+    )
+    def test_groebner_certificate(self, suite, field, order):
+        # holds whatever order the S-pairs were processed in
+        for I in suite[:10]:
+            I = over(field, I)
+            o = weighted(order[: I.ring.n]) if isinstance(order, tuple) else order
+            gb = I.groebner(o)
+            G = gb.elements
+            lms = [leading_monomial(g, o) for g in G]
+            for i, g in enumerate(G):
+                assert g.terms[lms[i]] == I.ring.field.one
+                for j in range(i + 1, len(G)):
+                    s = s_polynomial(g, G[j], o)
+                    assert reference_normal_form(s, gb).is_zero()
+                for j, lm in enumerate(lms):
+                    assert i == j or not any(mono_divides(lm, m) for m in g.terms)
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+    @pytest.mark.parametrize("order, name", [(LEX, "lex"), (DRL, "grevlex")], ids=["lex", "grevlex"])
+    def test_matches_sympy_groebner(self, suite, order, name, field):
+        sympy = pytest.importorskip("sympy")
+        if field == GF:
+            options = {"modulus": GF.p}
+            canonical = lambda terms: frozenset((m, int(c) % GF.p) for m, c in terms)
+        else:
+            options = {"domain": sympy.QQ}
+            canonical = lambda terms: frozenset((m, sympy.Rational(c)) for m, c in terms)
+        for I in suite:
+            I = over(field, I)
+            syms = sympy.symbols(I.ring.names)
+            polys = [
+                sympy.Poly.from_dict({m: sympy.Rational(c) for m, c in g.terms.items()},
+                                     *syms, **options)
+                for g in I.generators
+            ]
+            reference = sympy.groebner(polys, *syms, order=name, **options)
+            want = {canonical(p.terms()) for p in reference.polys}
+            got = {canonical(g.terms.items()) for g in buchberger_reduced(I, order).elements}
+            assert got == want, I
 
 
 class TestInitialIdeals:
