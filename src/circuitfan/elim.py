@@ -79,6 +79,9 @@ def clear_denominators(values) -> tuple:
 
     Entries may be ints, Fractions or anything ``Fraction()`` accepts.
     """
+    values = tuple(values)
+    if all(type(v) is int for v in values):
+        return values
     fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     lcm = math.lcm(*(f.denominator for f in fracs))
     return tuple(f.numerator * (lcm // f.denominator) for f in fracs)

@@ -62,6 +62,9 @@ class Cone:
 
     def contains(self, w, strict: bool = False) -> bool:
         w = make_weight(w)
+        vectors = self.equalities or self.inequalities
+        if vectors and len(vectors[0]) != len(w):
+            raise ValueError(f"weight of length {len(w)} for a cone in {len(vectors[0])} variables")
         for v in self.equalities:
             if sum(a * b for a, b in zip(v, w)) != 0:
                 return False

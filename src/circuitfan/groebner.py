@@ -65,10 +65,25 @@ class IdealHandle:
         self._cache = {}
 
     def groebner(self, order: MonomialOrder = CANONICAL) -> GroebnerBasis:
+        """Reduced basis for the order: cached, else a cached basis that is
+        also reduced for it, else computed by Buchberger."""
         gb = self._cache.get(order)
         if gb is None:
-            gb = self._cache[order] = buchberger_reduced(self, order)
+            gb = self._cache[order] = self._reuse(order) or buchberger_reduced(self, order)
         return gb
+
+    def _reuse(self, order: MonomialOrder):
+        for held in self._cache.values():
+            # homogeneous ideal: unchanged leading monomials generate in_held(I),
+            # which has the Hilbert function of in_order(I), so they generate
+            # in_order(I) and the monic, reduced held basis is the reduced one
+            if all(
+                leading_monomial(g, order) == leading_monomial(g, held.order)
+                for g in held.elements
+            ):
+                elements = sorted(held.elements, key=lambda g: order.key(leading_monomial(g, order)))
+                return GroebnerBasis(order, tuple(elements))
+        return None
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -263,7 +278,14 @@ def initial_ideal_w(I: IdealHandle, w, tie: MonomialOrder = DRL) -> IdealHandle:
     reduced basis; generally not monomial."""
     w = make_weight(w)
     gb = I.groebner(weighted(w, tie=tie))
-    return IdealHandle(I.ring, [initial_form_w(g, w) for g in gb.elements])
+    forms = [initial_form_w(g, w) for g in gb.elements]
+    J = IdealHandle(I.ring, forms)
+    # the initial forms of the weight-refined reduced basis are a tie-Groebner
+    # basis of in_w(I); each keeps its element's leading term and a subset of
+    # its tail, so they are monic and reduced: the tie-reduced basis
+    forms.sort(key=lambda g: tie.key(leading_monomial(g, tie)))
+    J._cache[tie] = GroebnerBasis(tie, tuple(forms))
+    return J
 
 
 def ideal_equal(I: IdealHandle, J: IdealHandle) -> bool:

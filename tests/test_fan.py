@@ -81,6 +81,16 @@ class TestConeOf:
                 if cone.contains(w2, strict=True):
                     assert weight_equiv(I, w, w2)
 
+    def test_contains_rejects_wrong_length(self):
+        cone = Cone.build([], [(1, -1, 0), (0, 1, -1)])
+        with pytest.raises(ValueError):
+            cone.contains((5, 1))
+        with pytest.raises(ValueError):
+            Cone.build([(1, -1)], []).contains((1, 1, 1))
+        assert cone.contains((5, 1, 0))
+        # a cone with no vectors constrains no weight of any length
+        assert Cone.build([], []).contains((5, 1))
+
     def test_build_canonicalizes(self):
         cone = Cone.build([(2, -2), (-1, 1)], [(4, 2), (2, 1)])
         assert cone.equalities == ((1, -1),)

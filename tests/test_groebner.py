@@ -207,7 +207,7 @@ class TestBuchberger:
                 for j, lm in enumerate(lms):
                     assert i == j or not any(mono_divides(lm, m) for m in g.terms)
 
-    @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+    @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF32003"])
     @pytest.mark.parametrize("order, name", [(LEX, "lex"), (DRL, "grevlex")], ids=["lex", "grevlex"])
     def test_matches_sympy_groebner(self, suite, order, name, field):
         sympy = pytest.importorskip("sympy")
@@ -267,6 +267,77 @@ class TestInitialIdeals:
                 initial_form_w(g, w) == initial_form_w(g, w2) for g in gb.elements
             ):
                 assert ideal_equal(initial_ideal_w(I, w), initial_ideal_w(I, w2))
+
+
+def random_orders(rng, n, count):
+    """Weight orders with entries in [-3, 3], ties alternating DRL and LEX."""
+    return [
+        weighted(tuple(rng.randint(-3, 3) for _ in range(n)), tie=(DRL, LEX)[k % 2])
+        for k in range(count)
+    ]
+
+
+def fresh(I):
+    """A handle on the same generators with an empty basis cache."""
+    return IdealHandle(I.ring, I.generators)
+
+
+@pytest.fixture
+def buchberger_calls(monkeypatch):
+    """The orders of the Buchberger runs made through IdealHandle.groebner."""
+    from circuitfan import groebner
+
+    calls = []
+
+    def counted(ideal, order):
+        calls.append(order)
+        return buchberger_reduced(ideal, order)
+
+    monkeypatch.setattr(groebner, "buchberger_reduced", counted)
+    return calls
+
+
+class TestBasisCache:
+    """IdealHandle.groebner answers from cached bases where it can; every
+    answer must be the basis Buchberger computes on a fresh handle."""
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF32003"])
+    def test_warm_cache_matches_fresh_buchberger(self, suite, field, buchberger_calls):
+        rng = random.Random(5)
+        misses = 0
+        for I in suite[:10]:
+            I = fresh(over(field, I))
+            # from the fourth order on, the cache holds at least three bases
+            for order in random_orders(rng, I.ring.n, 8):
+                misses += order not in I._cache
+                got = I.groebner(order).elements
+                assert got == buchberger_reduced(fresh(I), order).elements, (I, order)
+        # some misses were answered without Buchberger, so the shortcut ran
+        assert len(buchberger_calls) < misses
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF32003"])
+    def test_seeded_initial_ideal_matches_fresh_buchberger(self, suite, field):
+        rng = random.Random(6)
+        for I in suite[:10]:
+            I = fresh(over(field, I))
+            for order in random_orders(rng, I.ring.n, 4):
+                J = initial_ideal_w(I, order.weight, tie=order.tie)
+                for target in (order.tie, CANONICAL):
+                    want = buchberger_reduced(fresh(J), target).elements
+                    assert J.groebner(target).elements == want, (I, order, target)
+
+    def test_changed_leading_monomial_is_not_reused(self, R):
+        I = IdealHandle(R, [R.parse("x^2 - y^2")])
+        assert I.groebner(DRL).elements == (R.parse("x^2 - y^2"),)
+        gb = I.groebner(weighted((0, 1)))
+        assert gb.elements == (R.parse("y^2 - x^2"),)
+        assert leading_term(gb.elements[0], gb.order) == ((0, 2), 1)
+
+    def test_initial_ideal_costs_one_buchberger_run(self, R, buchberger_calls):
+        I = IdealHandle(R, [R.parse("x^2 + x*y + y^2"), R.parse("x*y^2 - y^3")])
+        J = initial_ideal_w(I, (2, 1))
+        J.groebner()
+        assert buchberger_calls == [weighted((2, 1))]
 
 
 class TestIdealEqual:

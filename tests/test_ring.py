@@ -122,6 +122,8 @@ class TestWeights:
         assert make_weight([1, -1]) == (1, -1)
         assert make_weight([2, Fraction(-1, 4), "5/6"]) == (24, -3, 10)
         assert make_weight([]) == ()
+        # bools are not ints: they take the Fraction path and come out as ints
+        assert [type(x) for x in make_weight([True, 2])] == [int, int]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
