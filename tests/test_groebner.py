@@ -207,7 +207,7 @@ class TestBuchberger:
                 for j, lm in enumerate(lms):
                     assert i == j or not any(mono_divides(lm, m) for m in g.terms)
 
-    @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF32003"])
+    @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
     @pytest.mark.parametrize("order, name", [(LEX, "lex"), (DRL, "grevlex")], ids=["lex", "grevlex"])
     def test_matches_sympy_groebner(self, suite, order, name, field):
         sympy = pytest.importorskip("sympy")
