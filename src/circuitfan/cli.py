@@ -31,11 +31,10 @@ from .groebner import (
     CapTooSmallError,
     MacaulayError,
     basis_json,
-    default_lex_cap,
     hilbert_function,
     homogenize_ideal_w,
     initial_ideal_w,
-    lex_segment,
+    lex_bound,
     parse_ideal_file,
     specialize_t,
 )
@@ -221,11 +220,10 @@ def _dispatch(args, ring, ideal, seed):
             "quotient_dims": list(H.quotient_dims()),
         }
     if cmd == "lexseg":
-        cap = args.cap if args.cap is not None else default_lex_cap(ideal)
-        H = hilbert_function(ideal, cap)
-        L, D = lex_segment(H, ring, cap)
+        L, D = lex_bound(ideal, args.cap)
         return EXIT_OK, {
-            "cap": cap,
+            # without --cap, lex_bound reads up to D + 1
+            "cap": D + 1 if args.cap is None else args.cap,
             "lex_segment": [poly_str(g) for g in L.generators],
             "generator_bound": D,
         }

@@ -10,7 +10,6 @@ from .circuits import circuits_truncated
 from .generic import RandomSpec, gcs_truncated
 from .groebner import (
     IdealHandle,
-    default_lex_cap,
     hilbert_function,
     initial_ideal_w,
     lex_bound,
@@ -280,16 +279,18 @@ def generic_fan_compare(
         raise ValueError("mode must be 'generic' or 'deterministic'")
     if I.ring != J.ring:
         raise ValueError("ideals in different rings")
-    cap = max(default_lex_cap(I), default_lex_cap(J))
-    HI = hilbert_function(I, cap)
-    HJ = hilbert_function(J, cap)
+    _, D = lex_bound(I)
+    # both Hilbert functions grow maximally past their own bound, so agreeing
+    # one degree past the larger bound they agree in every degree
+    top = max(D, lex_bound(J)[1]) + 1
+    HI = hilbert_function(I, top)
+    HJ = hilbert_function(J, top)
     if HI.ideal_dims != HJ.ideal_dims:
         return {
             "verdict": "incomparable",
             "reason": "Hilbert mismatch",
             "dims": [list(HI.ideal_dims), list(HJ.ideal_dims)],
         }
-    _, D = lex_bound(I, cap)
     if mode == "generic":
         left = gcs_truncated(I, D, spec)
         right = gcs_truncated(J, D, RandomSpec(spec.seed + 1, spec.entry_bound))

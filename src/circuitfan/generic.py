@@ -71,6 +71,8 @@ def gcs_truncated(
     Two independent random changes must produce identical circuits sets; on a
     mismatch the entry bound doubles and both witnesses are redrawn.
     """
+    if retries < 1:
+        raise ValueError("retries must be at least 1")
     bound = spec.entry_bound
     for attempt in range(retries):
         local = RandomSpec(spec.seed, bound)

@@ -3,6 +3,7 @@ lex-segment ideals and the one-parameter flat family."""
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -87,9 +88,6 @@ class IdealHandle:
 
     def is_zero(self) -> bool:
         return not self.generators
-
-    def max_generator_degree(self) -> int:
-        return max((g.degree() for g in self.generators), default=0)
 
     def __repr__(self):
         gens = ", ".join(poly_str(g) for g in self.generators)
@@ -312,97 +310,93 @@ class HilbertData:
         return tuple(dim_degree(self.n, d) - v for d, v in enumerate(self.ideal_dims))
 
 
+def _ideal_dims(I: IdealHandle):
+    """dim I_0, dim I_1, ... without end, counted from the canonical initial
+    ideal."""
+    lms = [] if I.is_zero() else I.groebner(CANONICAL).leading_monomials()
+    for d in itertools.count():
+        monos = monomials_of_degree(I.ring.n, d) if lms else ()
+        yield sum(1 for m in monos if any(mono_divides(l, m) for l in lms))
+
+
 def hilbert_function(I: IdealHandle, dmax: int) -> HilbertData:
     """dim I_d for 0 <= d <= dmax, counted from the canonical initial ideal."""
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
-    if I.is_zero():
-        return HilbertData(I.ring.n, dmax, (0,) * (dmax + 1))
-    lms = I.groebner(CANONICAL).leading_monomials()
-    dims = []
-    for d in range(dmax + 1):
-        count = sum(
-            1
-            for m in monomials_of_degree(I.ring.n, d)
-            if any(mono_divides(l, m) for l in lms)
-        )
-        dims.append(count)
-    return HilbertData(I.ring.n, dmax, tuple(dims))
+    return HilbertData(I.ring.n, dmax, tuple(itertools.islice(_ideal_dims(I), dmax + 1)))
 
 
-def _lex_desc(n: int, d: int) -> list:
-    return sorted(monomials_of_degree(n, d), key=lambda m: tuple(m), reverse=True)
+def _lex_read(ring: PolyRing, dims, delta: int):
+    """Lex-segment ideal of the ideal dims dims[0], dims[1], ..., with its top
+    generator degree; reading stops at the end of dims or at the first degree
+    past delta that brings no new generator."""
+    n = ring.n
+    generators = []
+    top_degree = 0
+    prev = set()
+    for d, want in enumerate(dims):
+        monos = sorted(monomials_of_degree(n, d), reverse=True)  # lex descending
+        if want < 0 or want > len(monos):
+            raise MacaulayError(f"dim {want} out of range in degree {d}")
+        seg = monos[:want]
+        grown = {m[:i] + (m[i] + 1,) + m[i + 1 :] for m in prev for i in range(n)}
+        if not grown <= set(seg):
+            raise MacaulayError(f"lex segment in degree {d} is not an ideal step")
+        new = [m for m in seg if m not in grown]
+        if new:
+            generators.extend(new)
+            top_degree = d
+        elif d > delta:
+            break
+        prev = set(seg)
+    return IdealHandle(ring, [ring.monomial(m) for m in generators]), top_degree
 
 
 def lex_segment(H: HilbertData, ring: PolyRing, cap: int):
-    """Lex-segment ideal realizing the Hilbert data, with its top generator
-    degree.
+    """Lex-segment ideal realizing the Hilbert data up to degree cap, with its
+    top generator degree.
 
     Returns (monomial IdealHandle, D).  Raises MacaulayError when the data is
-    not realized by degreewise lex segments, and CapTooSmallError when new
-    generators still appear within the last n degrees below the cap.
+    not realized by degreewise lex segments, and CapTooSmallError when a
+    generator appears in degree cap itself.  Data up to cap cannot show that no
+    generator comes later: only lex_bound certifies that D is final.
     """
-    n = ring.n
     if cap < 1:
         raise ValueError("cap must be positive")
     if cap > H.dmax:
         raise ValueError("cap exceeds the available Hilbert data")
-    segments = {}
-    generators = []
-    top_degree = 0
-    prev = set()
-    for d in range(cap + 1):
-        want = H.ideal_dims[d]
-        monos = _lex_desc(n, d)
-        if want < 0 or want > len(monos):
-            raise MacaulayError(f"dim {want} out of range in degree {d}")
-        seg = set(monos[:want])
-        grown = set()
-        for m in prev:
-            for i in range(n):
-                e = list(m)
-                e[i] += 1
-                grown.add(tuple(e))
-        if not grown <= seg:
-            raise MacaulayError(f"lex segment in degree {d} is not an ideal step")
-        new = seg - grown
-        if new:
-            generators.extend(sorted(new, key=lambda m: tuple(m), reverse=True))
-            top_degree = d
-        segments[d] = seg
-        prev = seg
-    if top_degree > cap - n:
-        if any(segments[d] for d in segments):
-            raise CapTooSmallError(
-                f"lex-segment generators appear in degree {top_degree}; "
-                f"increase cap beyond {cap}"
-            )
-    L = IdealHandle(ring, [ring.monomial(m) for m in generators])
-    return L, top_degree
+    L, D = _lex_read(ring, H.ideal_dims[: cap + 1], cap)
+    if D == cap:
+        raise CapTooSmallError(
+            f"lex-segment generators appear in degree {cap}; increase cap beyond {cap}"
+        )
+    return L, D
 
 
-def default_lex_cap(I: IdealHandle) -> int:
-    """Heuristic cap: top degree of the canonical initial ideal plus n."""
-    if I.is_zero():
-        return I.ring.n
-    return initial_ideal(I).max_generator_degree() + I.ring.n
+def lex_bound(I: IdealHandle, cap: int = None):
+    """Lex-segment ideal with I's Hilbert function and its top generator
+    degree D, certified final.
 
-
-def lex_bound(I: IdealHandle, cap: int = None, max_cap: int = 40):
-    """Lex-segment ideal and generator bound, escalating the cap on demand.
-
-    Returns (lex-segment IdealHandle, D).  A cap that never stabilizes below
-    max_cap is still an error; it is never silently accepted.
+    Returns (lex-segment IdealHandle, D).  Let delta be the top generator
+    degree of the canonical initial ideal.  The Hilbert function is read from
+    degree 0 until a degree c > delta brings no lex generator.  Then it grows
+    maximally from c - 1 to c (Macaulay), and as in(I) is generated in degrees
+    <= c - 1, Gotzmann's persistence theorem keeps that growth maximal in every
+    later degree, so no lex generator comes after c - 1 (Bruns & Herzog,
+    Cohen-Macaulay Rings, 4.2-4.3).  The last degree read is D + 1.  An
+    explicit cap reads up to cap instead and raises CapTooSmallError unless it
+    passes delta and brings no generator.
     """
-    cap = cap if cap is not None else default_lex_cap(I)
-    while True:
-        H = hilbert_function(I, cap)
-        try:
-            return lex_segment(H, I.ring, cap)
-        except CapTooSmallError:
-            if cap >= max_cap:
-                raise
-            cap = min(max_cap, cap + I.ring.n)
+    lms = [] if I.is_zero() else I.groebner(CANONICAL).leading_monomials()
+    delta = max(map(sum, lms), default=0)
+    if cap is None:
+        return _lex_read(I.ring, _ideal_dims(I), delta)
+    L, D = lex_segment(hilbert_function(I, cap), I.ring, cap)
+    if cap <= delta:
+        raise CapTooSmallError(
+            f"in(I) has generators in degree {delta}; increase cap beyond {delta}"
+        )
+    return L, D
 
 
 # ---------------------------------------------------------------------------

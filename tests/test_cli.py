@@ -68,6 +68,25 @@ class TestBasics:
         assert doc["lex_segment"] == ["x^2"]
         assert doc["generator_bound"] == 2
 
+    def test_lexseg_certifies_without_cap(self, capsys, tmp_path):
+        path = tmp_path / "xz.ideal"
+        path.write_text("ring: Q; vars: x,y,z\ngens:\nx^2\nz^4\n")
+        code, doc = run(capsys, ["lexseg", str(path)])
+        assert code == 0
+        assert doc["generator_bound"] == 8
+        # the reported cap is the last degree read and reproduces the answer
+        code, again = run(capsys, ["lexseg", str(path), "--cap", str(doc["cap"])])
+        assert code == 0
+        assert again["lex_segment"] == doc["lex_segment"]
+        assert again["generator_bound"] == doc["generator_bound"]
+
+    def test_lexseg_cap_past_bound(self, capsys, tmp_path):
+        path = tmp_path / "xy.ideal"
+        path.write_text("ring: Q; vars: x,y\ngens:\nx^2\ny^7\n")
+        code, doc = run(capsys, ["lexseg", str(path), "--cap", "9"])
+        assert code == 0
+        assert doc["generator_bound"] == 8
+
     def test_fan_cell(self, capsys, ideal_file):
         code, doc = run(capsys, ["fan-cell", ideal_file, "--weight", "2,1"])
         assert code == 0
@@ -280,3 +299,17 @@ class TestExitCodes:
         code, doc = run(capsys, ["lexseg", str(path), "--cap", "2"])
         assert code == 2
         assert doc["error"]["kind"] == "CapTooSmallError"
+
+    def test_cap_at_generator_degree_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "xy.ideal"
+        path.write_text("ring: Q; vars: x,y\ngens:\nx^2\ny^7\n")
+        code, doc = run(capsys, ["lexseg", str(path), "--cap", "8"])
+        assert code == 2
+        assert doc["error"]["kind"] == "CapTooSmallError"
+
+    @pytest.mark.parametrize("retries", ["0", "-1"])
+    def test_gcs_retries_must_be_positive(self, capsys, ideal_file, retries):
+        code, doc = run(capsys, ["gcs", ideal_file, "--trunc", "2", "--retries", retries])
+        assert code == 1
+        assert "circuits" not in doc
+        assert doc["error"]["kind"] == "ValueError"

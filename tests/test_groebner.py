@@ -411,6 +411,36 @@ class TestLexSegment:
                 == hilbert_function(I, cap).ideal_dims
             )
 
+    @pytest.mark.parametrize(
+        "names, gens",
+        [
+            (("x", "y"), ["x^2", "y^7"]),
+            (("x", "y", "z"), ["x^2", "z^4"]),
+            (("a", "b", "c", "d"), ["a*b - c*d", "a^2 - b*c"]),
+            (("x", "y"), []),
+            (("x", "y", "z"), ["1"]),
+            (("x", "y", "z"), ["x"]),
+            (("x", "y", "z"), ["x*y", "y*z", "x*z"]),
+        ],
+        ids=["x2-y7", "x2-z4", "pair", "zero", "unit", "x", "xy-yz-xz"],
+    )
+    def test_persistence_matches_longer_window(self, names, gens):
+        ring = PolyRing(names)
+        self.check_against_longer_window(IdealHandle(ring, [ring.parse(g) for g in gens]))
+
+    def test_persistence_matches_longer_window_on_suite(self, suite):
+        for I in suite:
+            self.check_against_longer_window(I)
+
+    @staticmethod
+    def check_against_longer_window(I):
+        # reading n + 2 degrees past D + 1 exposes a certificate that stopped early
+        L, D = lex_bound(I)
+        window = D + I.ring.n + 3
+        L2, D2 = lex_segment(hilbert_function(I, window), I.ring, window)
+        assert L.generators == L2.generators
+        assert D == D2
+
     def test_macaulay_violation(self, R):
         from circuitfan.groebner import HilbertData
 
