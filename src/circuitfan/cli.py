@@ -1,11 +1,13 @@
 """Command-line front end: parse ideal files, dispatch operations, emit JSON.
 
-Exit codes: 0 success, 1 malformed input, 2 honest certification failures
-(uncertified genericity, lex-segment cap, truncated enumeration).
+Exit codes: 0 success, 1 malformed input or an unwritable --output (the
+document then goes to stdout), 2 honest certification failures (uncertified
+genericity, lex-segment cap, truncated enumeration).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -70,7 +72,10 @@ def _resolve_seed(args) -> int:
     return int(env) if env else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones
+    (parse_args keeps no state between calls)."""
     p = argparse.ArgumentParser(
         prog="circuitfan",
         description="Exact circuits sets, weight initial ideals and Groebner-fan "
@@ -276,10 +281,16 @@ def main(argv=None) -> int:
         document["error"] = {"kind": type(e).__name__, "reason": str(e)}
     text = json.dumps(document, indent=2)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+            return code
+        except OSError as e:
+            # the document goes to stdout instead; this error replaces any other
+            code = EXIT_BAD_INPUT
+            document["error"] = {"kind": type(e).__name__, "reason": str(e)}
+            text = json.dumps(document, indent=2)
+    print(text)
     return code
 
 

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .elim import clear_denominators
-from .order import CANONICAL, DRL, MonomialOrder, leading_monomial, leading_term, weighted
+from .order import CANONICAL, DRL, MonomialOrder, leading_monomial, weighted
 from .ring import (
     Polynomial,
     PolyRing,
+    PrimeField,
     RationalField,
     Substitution,
     dim_degree,
@@ -21,10 +22,7 @@ from .ring import (
     homogenize_w,
     initial_form_w,
     make_weight,
-    mono_div,
     mono_divides,
-    mono_lcm,
-    mono_mul,
     monomials_of_degree,
     poly_str,
     specialize_last,
@@ -95,169 +93,253 @@ class IdealHandle:
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# division and Buchberger on packed monomials
+#
+# After Monagan & Pearce 2007, "Polynomial division using dynamic arrays,
+# heaps, and packed exponent vectors" (CASC).  Each call turns its order into
+# integer rows: unit rows for lex, the partial sums e1 + ... + e(n-k) for
+# degrevlex, and for a weight order the weight followed by the tie order's
+# rows.  A monomial is then two ints.  Its order key holds the row values in
+# equal fields, first row on top, so that int comparison is the order.  Its
+# exponent int holds one field per variable with a guard bit on top.  Both are
+# linear in the exponents: a product is two additions, and a divides b exactly
+# when b - a sets no guard bit.  A packed polynomial is a key-descending list
+# of (key, exponent, coefficient).
+
+#: bits beyond the largest input degree: exponents up to 256 times it fit
+_HEADROOM_BITS = 8
+
+
+def _order_rows(order: MonomialOrder, n: int) -> list:
+    """Integer rows whose values on an exponent vector, compared
+    lexicographically, compare monomials as the order does."""
+    if order.kind == "lex":
+        return [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    if order.kind == "drl":
+        # the degree, then e1 + ... + e(n-k): at equal degree, comparing
+        # these compares -e(n), -e(n-1), ... in turn
+        return [tuple(int(j < n - k) for j in range(n)) for k in range(n)]
+    if len(order.weight) != n:
+        raise ValueError(
+            f"weight {order.weight} has {len(order.weight)} entries for {n} variables"
+        )
+    return [order.weight] + _order_rows(order.tie, n)
+
+
+class _Kernel:
+    """Packed terms of one ring under one order, and division on them; sized
+    for a largest input degree: every exponent up to `limit` fits."""
+
+    def __init__(self, order: MonomialOrder, ring: PolyRing, degree: int):
+        self.ring = ring
+        self.field = fld = ring.field
+        # over GF(p), coefficients are reduced mod p only when read
+        self.modulus = fld.p if isinstance(fld, PrimeField) else 0
+        n = ring.n
+        bits = max(degree, 1).bit_length() + _HEADROOM_BITS
+        self.limit = limit = (1 << bits) - 1
+        self.shifts = tuple(j * (bits + 1) for j in range(n))
+        self.guard = sum(1 << (s + bits) for s in self.shifts)
+        # key(m) = sum of row(m) << (field of the row), first row on top.  A
+        # row's values on two fitting vectors differ by less than 2^width, so
+        # the first unequal row decides the sign of the keys' difference, even
+        # where a value is negative and borrows from the field above.
+        rows = _order_rows(order, n)
+        width = max(limit * sum(map(abs, r)) for r in rows).bit_length()
+        tops = [width * i for i in reversed(range(len(rows)))]
+        self.var_keys = tuple(sum(r[j] << t for r, t in zip(rows, tops)) for j in range(n))
+
+    def key(self, m) -> int:
+        return sum(map(operator.mul, m, self.var_keys))
+
+    def exponent(self, m) -> int:
+        return sum(x << s for x, s in zip(m, self.shifts))
+
+    def monomial(self, e) -> tuple:
+        return tuple(e >> s & self.limit for s in self.shifts)
+
+    def pack(self, f: Polynomial) -> list:
+        return sorted(
+            ((self.key(m), self.exponent(m), c) for m, c in f.terms.items()), reverse=True
+        )
+
+    def unpack(self, terms) -> Polynomial:
+        return Polynomial(self.ring, {self.monomial(e): c for _, e, c in terms})
+
+    def monic(self, terms) -> list:
+        fld = self.field
+        inv = fld.invert(terms[0][2])
+        return [(k, e, fld.mul(c, inv)) for k, e, c in terms]
+
+    def normalized(self, terms) -> list:
+        # over the rationals, monic intermediate elements blow up coefficient
+        # sizes; scale to coprime integers with a positive leading coefficient
+        if not isinstance(self.field, RationalField):
+            return self.monic(terms)
+        ints = clear_denominators([c for _, _, c in terms])
+        g = math.gcd(*ints)
+        if terms[0][2] < 0:
+            g = -g
+        return [(k, e, Fraction(c // g)) for (k, e, _), c in zip(terms, ints)]
+
+    def reducer(self, terms):
+        """(leading exponent, leading key, tail, growth) of a packed
+        polynomial; the tail's coefficients are negated and divided by the
+        leading one, growth is how far its degree passes the leading one's."""
+        if not terms:
+            raise ValueError("leading term of the zero polynomial")
+        lk, le, lc = terms[0]
+        fld = self.field
+        inv = fld.invert(lc)
+        tail = [(k, e, fld.neg(fld.mul(c, inv))) for k, e, c in terms[1:]]
+        degree = max((sum(self.monomial(e)) for _, e, _ in tail), default=0)
+        return le, lk, tail, max(degree - sum(self.monomial(le)), 0)
+
+    def reduce(self, terms, reducers) -> list:
+        """Remainder, key-descending, of the sum of the (key, exponent,
+        coefficient) terms on division by the reducers: each greatest term
+        goes to the first reducer whose leading monomial divides it, and to
+        the remainder if there is none."""
+        work, expo = {}, {}
+        for k, e, c in terms:
+            old = work.get(k)
+            work[k] = c if old is None else old + c
+            expo[k] = e
+        # every key enters the heap once: terms brought in by a reduction step
+        # are below the one it removes, so a popped key never comes back, and
+        # a cancelled one stays in work as zero
+        heap = [-k for k in work]
+        heapq.heapify(heap)
+        pop, push, guard, modulus = heapq.heappop, heapq.heappush, self.guard, self.modulus
+        remainder = []
+        while heap:
+            k = -pop(heap)
+            c = work.pop(k)
+            if modulus:
+                c %= modulus
+            if not c:
+                continue
+            e = expo[k]
+            for le, lk, tail, growth in reducers:
+                q = e - le
+                if q & guard:
+                    continue
+                if growth and sum(self.monomial(e)) + growth > self.limit:
+                    raise OverflowError(
+                        f"a degree past {self.limit} overflows the packed monomials"
+                    )
+                dk = k - lk
+                for gk, ge, gc in tail:
+                    t = gk + dk
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = c * gc
+                        expo[t] = ge + q
+                        push(heap, -t)
+                    else:
+                        work[t] = old + c * gc
+                break
+            else:
+                remainder.append((k, e, c))
+        return remainder
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of f on division by G; no remainder monomial is divisible by
     a leading monomial of G."""
-    order = G.order
-    ring = f.ring
-    fld = ring.field
-    reducers = [(leading_term(g, order), g) for g in G.elements]
-    key = order.key
-
-    def entry(m):
-        return tuple(map(operator.neg, key(m))), m
-
-    # in-place elimination on a plain dict: every monomial introduced by a
-    # reduction step is strictly below the eliminated one, so moving maximal
-    # irreducible terms to the remainder is safe.  The heap holds negated
-    # order keys, pushed when a monomial enters the work dict; an entry whose
-    # monomial has since cancelled is stale and skipped.
-    work = dict(f.terms)
-    heap = [entry(m) for m in work]
-    heapq.heapify(heap)
-    remainder = {}
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        for (lm, lc), g in reducers:
-            if mono_divides(lm, m):
-                factor = mono_div(m, lm)
-                coeff = fld.div(c, lc)
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    t = mono_mul(gm, factor)
-                    old = work.get(t)
-                    if old is None:
-                        work[t] = fld.neg(fld.mul(coeff, gc))
-                        heapq.heappush(heap, entry(t))
-                        continue
-                    v = fld.sub(old, fld.mul(coeff, gc))
-                    if fld.is_zero(v):
-                        del work[t]
-                    else:
-                        work[t] = v
-                break
-        else:
-            remainder[m] = c
-    return Polynomial(ring, remainder)
-
-
-def _s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    fld = f.ring.field
-    (mf, cf) = leading_term(f, order)
-    (mg, cg) = leading_term(g, order)
-    lcm = mono_lcm(mf, mg)
-    a = f.mul_monomial(mono_div(lcm, mf)).scale(fld.invert(cf))
-    b = g.mul_monomial(mono_div(lcm, mg)).scale(fld.invert(cg))
-    return a - b
-
-
-def _monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    _, c = leading_term(f, order)
-    return f.scale(f.ring.field.invert(c))
-
-
-def _primitive_scaled(f: Polynomial, order: MonomialOrder) -> Polynomial:
-    # over the rationals, monic intermediate elements blow up coefficient
-    # sizes; scale to coprime integers with a positive leading coefficient
-    fld = f.ring.field
-    if not isinstance(fld, RationalField):
-        return _monic(f, order)
-    ints = clear_denominators(f.terms.values())
-    g = math.gcd(*ints)
-    _, lc = leading_term(f, order)
-    if lc < 0:
-        g = -g
-    return Polynomial(f.ring, {m: Fraction(c // g) for m, c in zip(f.terms, ints)})
+    degree = max((sum(m) for g in (f, *G.elements) for m in g.terms), default=0)
+    K = _Kernel(G.order, f.ring, degree)
+    return K.unpack(K.reduce(K.pack(f), [K.reducer(K.pack(g)) for g in G.elements]))
 
 
 def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> GroebnerBasis:
     """Unique reduced Groebner basis; normal pair selection, coprime-pair
     criterion, then minimalization and autoreduction."""
-    ring = ideal.ring
-    basis = [_primitive_scaled(g, order) for g in ideal.generators]
-    # drop duplicates up front
-    seen = set()
-    basis = [g for g in basis if not (g in seen or seen.add(g))]
-    lm = [leading_monomial(g, order) for g in basis]
+    K = _Kernel(order, ideal.ring, max((g.degree() for g in ideal.generators), default=0))
+    guard = K.guard
+    basis = []
+    for g in ideal.generators:
+        h = K.normalized(K.pack(g))
+        if h not in basis:
+            basis.append(h)
+    # each element's reducer and leading monomial, packed and as a tuple (for
+    # the lcm, which has no packed form)
+    red = [K.reducer(h) for h in basis]
+    lm = [h[0][1] for h in basis]
+    lmt = [K.monomial(e) for e in lm]
     pairs = set()
     queue = []
 
     def add_pairs(k):
         # homogeneous input: processing by S-polynomial degree keeps low-degree
         # reducers available early even under non-graded weight orders; each
-        # pair is keyed once, ties go by (i, j)
+        # pair is keyed once, ties go by (i, j).  An S-polynomial and its
+        # reduction have the lcm's degree, so all of it fits when that does.
         for i in range(k):
-            l = mono_lcm(lm[i], lm[k])
+            lcm = tuple(map(max, lmt[i], lmt[k]))
+            d = sum(lcm)
+            if d > K.limit:
+                raise OverflowError(f"S-pair degree {d} overflows the packed monomials")
             pairs.add((i, k))
-            heapq.heappush(queue, (sum(l), order.key(l), i, k))
+            heapq.heappush(queue, (d, K.key(lcm), i, k, K.exponent(lcm)))
 
-    def chain_criterion(i, j):
-        l = mono_lcm(lm[i], lm[j])
+    def chain_criterion(i, j, lcm):
         for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(lm[k], l):
+            if k in (i, j) or (lcm - lm[k]) & guard:
                 continue
-            if (min(i, k), max(i, k)) not in pairs and (
-                min(j, k),
-                max(j, k),
-            ) not in pairs:
+            if (min(i, k), max(i, k)) not in pairs and (min(j, k), max(j, k)) not in pairs:
                 return True
         return False
 
     for k in range(len(basis)):
         add_pairs(k)
     while queue:
-        _, _, i, j = heapq.heappop(queue)
+        _, key, i, j, lcm = heapq.heappop(queue)
         pairs.remove((i, j))
-        if mono_mul(lm[i], lm[j]) == mono_lcm(lm[i], lm[j]):
+        if lm[i] + lm[j] == lcm:
             continue  # coprime leading monomials
-        if chain_criterion(i, j):
+        if chain_criterion(i, j, lcm):
             continue
-        s = _s_polynomial(basis[i], basis[j], order)
-        h = normal_form(s, GroebnerBasis(order, tuple(basis)))
-        if h.is_zero():
+        # S-polynomial: the reducers' tails are -(tail / leading coefficient)
+        s = []
+        for sign, (le, lk, tail, _) in ((-1, red[i]), (1, red[j])):
+            dk, q = key - lk, lcm - le
+            s += [(gk + dk, ge + q, sign * gc) for gk, ge, gc in tail]
+        h = K.reduce(s, red)
+        if not h:
             continue
-        h = _primitive_scaled(h, order)
+        h = K.normalized(h)
         basis.append(h)
-        lm.append(leading_monomial(h, order))
+        red.append(K.reducer(h))
+        lm.append(h[0][1])
+        lmt.append(K.monomial(h[0][1]))
         add_pairs(len(basis) - 1)
 
     # minimalize: keep only elements whose leading monomial is not divisible
     # by another kept leading monomial
-    keep = []
-    for i in range(len(basis)):
-        mi = lm[i]
-        redundant = False
-        for j in range(len(basis)):
-            if i == j:
-                continue
-            if mono_divides(lm[j], mi) and (lm[j] != mi or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
+    keep = [
+        i
+        for i, a in enumerate(lm)
+        if not any(
+            j != i and not (a - b) & guard and (a != b or j < i) for j, b in enumerate(lm)
+        )
+    ]
 
     # autoreduce tails
     final = [basis[i] for i in keep]
+    red = [red[i] for i in keep]
     changed = True
     while changed:
         changed = False
-        for i in range(len(final)):
-            others = GroebnerBasis(order, tuple(final[:i] + final[i + 1 :]))
-            r = normal_form(final[i], others)
-            if r != final[i]:
-                final[i] = _primitive_scaled(r, order)
+        for i, f in enumerate(final):
+            r = K.reduce(f, red[:i] + red[i + 1 :])
+            if r != f:
+                final[i] = K.normalized(r)
+                red[i] = K.reducer(final[i])
                 changed = True
 
-    final = [_monic(g, order) for g in final]
-    final.sort(key=lambda g: order.key(leading_monomial(g, order)))
-    return GroebnerBasis(order, tuple(final))
+    final.sort(key=lambda f: f[0][0])
+    return GroebnerBasis(order, tuple(K.unpack(K.monic(f)) for f in final))
 
 
 # ---------------------------------------------------------------------------

@@ -234,10 +234,6 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
     return q
 
 
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
 def canonical_key(m: Monomial):
     """Sort key realizing degrevlex with declared variable order; larger key
     means larger monomial."""

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from circuitfan.cli import main
+import circuitfan
+from circuitfan.cli import build_parser, main
 
 
 IDEAL = "ring: Q; vars: x,y\ngens:\nx^2 + x*y + y^2\n"
@@ -197,6 +201,46 @@ class TestDeterminism:
         doc = json.loads(out.read_text())
         assert doc["quotient_dims"][0] == 1
 
+    def test_unwritable_output_goes_to_stdout(self, capsys, tmp_path, ideal_file):
+        target = tmp_path / "no" / "doc.json"
+        code, doc = run(capsys, ["--output", str(target), "--no-timestamp", "gb", ideal_file])
+        assert code == 1
+        assert doc["error"]["kind"] == "FileNotFoundError"
+        assert doc["basis"]["elements"] == ["x^2 + x*y + y^2"]
+        assert not target.parent.exists()
+
+
+class TestParser:
+    def test_no_state_between_calls(self, capsys, ideal_file, pair_file, monkeypatch):
+        monkeypatch.delenv("CIRCUITFAN_SEED", raising=False)
+        argv = ["--no-timestamp", "gb", pair_file, "--order", "lex", "--seed", "5"]
+        _, doc = run(capsys, argv)
+        assert doc["config"]["seed"] == 5
+        assert doc["basis"]["elements"] == ["y^3", "x*y", "x^2 - y^2"]
+        _, doc = run(capsys, ["gb", pair_file])
+        assert doc["config"]["seed"] == 0
+        assert doc["config"]["order"] == "drl"
+        assert "timestamp" in doc
+        _, doc = run(capsys, ["hf", ideal_file, "--dmax", "2"])
+        assert doc["config"] == {
+            "command": "hf",
+            "dmax": 2,
+            "field": None,
+            "input": ideal_file,
+            "no_timestamp": False,
+            "seed": 0,
+        }
+        assert run(capsys, argv)[1]["config"]["seed"] == 5
+        assert build_parser() is build_parser()
+
+    def test_built_on_first_call_not_at_import(self):
+        src = Path(circuitfan.__file__).resolve().parents[1]
+        probe = "import circuitfan.cli as c; print(c.build_parser.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "0"
+
 
 class TestFieldOverride:
     def test_gf_override(self, capsys, ideal_file):
@@ -313,3 +357,17 @@ class TestExitCodes:
         assert code == 1
         assert "circuits" not in doc
         assert doc["error"]["kind"] == "ValueError"
+
+    def test_weight_length_mismatch(self, capsys, pair_file):
+        code, doc = run(capsys, ["gb", pair_file, "--order", "w:1;tie=drl"])
+        assert code == 1
+        assert "basis" not in doc
+        assert "for 2 variables" in doc["error"]["reason"]
+
+    def test_packed_overflow_exit_1(self, capsys, pair_file, monkeypatch):
+        # no headroom: degree-2 generators then fit degree 3, and the lex
+        # basis of the pair brings y^3, whose S-pair with x^2 - y^2 has degree 5
+        monkeypatch.setattr("circuitfan.groebner._HEADROOM_BITS", 0)
+        code, doc = run(capsys, ["gb", pair_file, "--order", "lex"])
+        assert code == 1
+        assert doc["error"]["kind"] == "OverflowError"

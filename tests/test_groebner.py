@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circuitfan import (
     CANONICAL,
@@ -27,6 +30,7 @@ from circuitfan.groebner import (
     CapTooSmallError,
     GroebnerBasis,
     MacaulayError,
+    _Kernel,
     basis_json,
     ideal_file_text,
     lex_bound,
@@ -34,7 +38,7 @@ from circuitfan.groebner import (
 from circuitfan.order import leading_monomial, leading_term
 from circuitfan.ring import QQ, PrimeField, Polynomial, mono_div, mono_divides, mono_mul, poly_str
 
-from conftest import make_suite, random_homogeneous
+from conftest import VARS, make_suite, random_homogeneous
 
 
 @pytest.fixture
@@ -229,6 +233,77 @@ class TestBuchberger:
             want = {canonical(p.terms()) for p in reference.polys}
             got = {canonical(g.terms.items()) for g in buchberger_reduced(I, order).elements}
             assert got == want, I
+
+
+KERNEL_ORDERS = [
+    LEX,
+    DRL,
+    weighted((2, -1, 0)),
+    weighted((1, 0, -3), tie=weighted((0, 2, 1), tie=LEX)),
+]
+KERNEL_IDS = ["lex", "drl", "w2,-1,0", "w1,0,-3;w0,2,1;lex"]
+
+
+def assert_packed_like_tuples(kernel, order, a, b):
+    ka, kb = kernel.key(a), kernel.key(b)
+    assert (ka > kb) - (ka < kb) == order.compare(a, b)
+    divides = not (kernel.exponent(b) - kernel.exponent(a)) & kernel.guard
+    assert divides == mono_divides(a, b)
+    assert kernel.monomial(kernel.exponent(a)) == a
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=KERNEL_IDS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_keys_and_divisibility_match_tuples(self, order, data):
+        degree = data.draw(st.integers(0, 2**40), label="largest input degree")
+        kernel = _Kernel(order, PolyRing(VARS), degree)
+        top = kernel.limit
+        entry = st.one_of(st.integers(0, 4), st.integers(top - 4, top), st.integers(0, top))
+        vector = st.tuples(entry, entry, entry)
+        assert_packed_like_tuples(kernel, order, data.draw(vector), data.draw(vector))
+
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=KERNEL_IDS)
+    def test_keys_and_divisibility_on_corner_vectors(self, order):
+        # the widest row differences: every vector with entries 0, 1, limit-1, limit
+        kernel = _Kernel(order, PolyRing(VARS), 5)
+        corners = list(itertools.product((0, 1, kernel.limit - 1, kernel.limit), repeat=3))
+        for a in corners:
+            for b in corners:
+                assert_packed_like_tuples(kernel, order, a, b)
+
+    @pytest.mark.parametrize("order", [DRL, LEX, (2, -1, 0)], ids=["drl", "lex", "w2,-1,0"])
+    def test_exponent_scaling_commutes_with_reduced_bases(self, suite, order):
+        # x_i -> x_i^K keeps every order here and maps the reduced basis of I
+        # onto that of its image; K = 2^33 takes exponents past 32-bit fields
+        K = 2**33
+        for I in suite[:8]:
+            ring = I.ring
+            o = weighted(order[: ring.n]) if isinstance(order, tuple) else order
+
+            def scaled(g):
+                return Polynomial(ring, {tuple(K * e for e in m): c for m, c in g.terms.items()})
+
+            big = IdealHandle(ring, [scaled(g) for g in I.generators])
+            want = tuple(scaled(g) for g in buchberger_reduced(I, o).elements)
+            assert buchberger_reduced(big, o).elements == want, I
+
+    def test_weight_length_must_match_ring(self, R):
+        for ideal in (IdealHandle(R, [R.parse("x^2 + y^2")]), IdealHandle(R, [])):
+            for w in ((1,), (1, 0, 2)):
+                with pytest.raises(ValueError, match="for 2 variables"):
+                    buchberger_reduced(ideal, weighted(w))
+        with pytest.raises(ValueError, match="for 2 variables"):
+            normal_form(R.parse("x"), GroebnerBasis(weighted((1,)), ()))
+
+    def test_degree_past_width_raises(self, R):
+        # fields fit 256 times the largest input degree: y^1200 does, y^360000
+        # does not
+        G = GroebnerBasis(LEX, (R.parse("x - y^600"),))
+        assert normal_form(R.parse("x^2"), G) == R.parse("y^1200")
+        with pytest.raises(OverflowError):
+            normal_form(R.parse("x^600"), G)
 
 
 class TestInitialIdeals:
