@@ -83,11 +83,9 @@ def _quotient_images(W: GradedMatrix):
     """
     fld = W.ring.field
     rational = isinstance(fld, RationalField)
-    pivots = []
     pivot_of_row = {}
     for i, row in enumerate(W.rows):
         j = next(k for k, x in enumerate(row) if not fld.is_zero(x))
-        pivots.append(j)
         pivot_of_row[j] = i
     nonpivot = [j for j in range(W.ncols) if j not in pivot_of_row]
     nonpivot_pos = {j: k for k, j in enumerate(nonpivot)}

@@ -150,6 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _weight(args, ring) -> tuple:
+    """``--weight``, which must have one entry per variable of the ring."""
+    w = parse_weight(args.weight)
+    if len(w) != ring.n:
+        raise ValueError(f"weight {w} has {len(w)} entries for {ring.n} variables")
+    return w
+
+
 def _dispatch(args, ring, ideal, seed):
     spec = RandomSpec(seed)
     cmd = args.command
@@ -157,7 +165,7 @@ def _dispatch(args, ring, ideal, seed):
         gb = ideal.groebner(parse_order(args.order))
         return EXIT_OK, {"basis": basis_json(gb)}
     if cmd == "inw":
-        w = parse_weight(args.weight)
+        w = _weight(args, ring)
         J = initial_ideal_w(ideal, w, tie=parse_order(args.tie))
         return EXIT_OK, {
             "weight": list(w),
@@ -177,7 +185,7 @@ def _dispatch(args, ring, ideal, seed):
             doc["genericity"] = "heuristic (finite field)"
         return EXIT_OK, doc
     if cmd == "alpha":
-        w, perm, shift = normalize_weight(parse_weight(args.weight), ring.n)
+        w, perm, shift = normalize_weight(_weight(args, ring))
         W = graded_basis(ideal, args.degree)
         av = alpha_vector(W, w)
         return EXIT_OK, {
@@ -188,7 +196,7 @@ def _dispatch(args, ring, ideal, seed):
             "alpha": list(av.values),
         }
     if cmd == "fan-cell":
-        w = parse_weight(args.weight)
+        w = _weight(args, ring)
         cone = cone_of(ideal, w, tie=parse_order(args.tie))
         return EXIT_OK, {"weight": list(w), **cone.to_json()}
     if cmd == "fan-enum":
@@ -205,7 +213,7 @@ def _dispatch(args, ring, ideal, seed):
         verdict = generic_fan_compare(ideal, other, spec, mode=args.mode)
         return EXIT_OK, verdict
     if cmd == "stab":
-        w, perm, shift = normalize_weight(parse_weight(args.weight), ring.n)
+        w, perm, shift = normalize_weight(_weight(args, ring))
         report = stab_check(
             ideal,
             w,
@@ -241,7 +249,7 @@ def _dispatch(args, ring, ideal, seed):
             "universal_basis": [poly_str(g) for g in basis],
         }
     if cmd == "flatfam":
-        w = parse_weight(args.weight)
+        w = _weight(args, ring)
         H = homogenize_ideal_w(ideal, w)
         doc = {
             "weight": list(w),

@@ -1,9 +1,9 @@
 """Exact elimination over a field and denominator clearing.
 
 The one place where the package does Gaussian elimination: reduced row
-echelon form and inverses over any field object, fraction-free rank over the
-integers, and the clearing of rational vectors to integer ones.  Imports
-nothing from the package.
+echelon form and inverses over any field object, one fraction-free rank
+kernel for the integers and GF(p), and the clearing of rational vectors to
+integer ones.  Imports nothing from the package.
 """
 from __future__ import annotations
 
@@ -33,9 +33,12 @@ def rref(rows, fld):
     return [tuple(r) for r in rows[:rank]], pivots
 
 
-def rank_bareiss(rows) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
-    m = [list(r) for r in rows]
+def rank_bareiss(rows, p: int = 0) -> int:
+    """Rank by fraction-free elimination: exact Bareiss (1968) over the
+    integers when ``p`` is 0, each step divided by the previous pivot; over
+    GF(p), entries reduced mod p on entry and each step taken as
+    ``(pivot*a - head*b) % p``, with no division."""
+    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])
@@ -46,13 +49,14 @@ def rank_bareiss(rows) -> int:
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
+        top = m[rank]
+        pivot = top[col]
         for i in range(rank + 1, nrows):
             head = m[i][col]
-            m[i] = [
-                (pivot * m[i][j] - head * m[rank][j]) // prev
-                for j in range(ncols)
-            ]
+            if p:
+                m[i] = [(pivot * a - head * b) % p for a, b in zip(m[i], top)]
+            else:
+                m[i] = [(pivot * a - head * b) // prev for a, b in zip(m[i], top)]
         prev = pivot
         rank += 1
         if rank == nrows:

@@ -66,15 +66,11 @@ def integer_rows(rows):
 
 
 def exact_rank(rows, fld) -> int:
-    """Rank over the field; fraction-free over the rationals."""
-    rows = [r for r in rows if any(not fld.is_zero(x) for x in r)]
-    if not rows:
-        return 0
+    """Rank over the field by the one kernel ``rank_bareiss``: over the
+    rationals on denominator-cleared rows, over GF(p) modulo p."""
     if isinstance(fld, RationalField):
-        if all(isinstance(x, int) for r in rows for x in r):
-            return rank_bareiss(rows)
         return rank_bareiss(integer_rows(rows))
-    return len(rref(rows, fld)[0])
+    return rank_bareiss(rows, fld.p)
 
 
 # ---------------------------------------------------------------------------

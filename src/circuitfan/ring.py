@@ -312,14 +312,6 @@ class PolyRing:
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
-    def one(self) -> "Polynomial":
-        return Polynomial(self, {(0,) * self.n: self.field.one})
-
-    def var(self, i: int) -> "Polynomial":
-        e = [0] * self.n
-        e[i] = 1
-        return Polynomial(self, {tuple(e): self.field.one})
-
     def monomial(self, m: Monomial) -> "Polynomial":
         return Polynomial(self, {tuple(m): self.field.one})
 

@@ -364,6 +364,18 @@ class TestExitCodes:
         assert "basis" not in doc
         assert "for 2 variables" in doc["error"]["reason"]
 
+    @pytest.mark.parametrize(
+        "argv", [["alpha", "--degree", "2"], ["stab"]], ids=["alpha", "stab"]
+    )
+    def test_short_weight_rejected(self, capsys, tmp_path, argv):
+        # the library pads a short weight with zeros; the CLI takes none
+        path = tmp_path / "T.ideal"
+        path.write_text("ring: Q; vars: x,y,z\ngens:\nx^2 + y*z\n")
+        code, doc = run(capsys, [argv[0], str(path), "--weight", "1", *argv[1:]])
+        assert code == 1
+        assert "weight" not in doc
+        assert "1 entries for 3 variables" in doc["error"]["reason"]
+
     def test_packed_overflow_exit_1(self, capsys, pair_file, monkeypatch):
         # no headroom: degree-2 generators then fit degree 3, and the lex
         # basis of the pair brings y^3, whose S-pair with x^2 - y^2 has degree 5

@@ -62,6 +62,39 @@ class TestKernels:
             assert exact_rank(rows, QQ) == exact_rank(scaled, QQ) == len(rref(scaled, QQ)[0])
 
 
+    @pytest.mark.parametrize("p", [2, 5, 32003])
+    def test_prime_field_rank_matches_rref(self, p):
+        # the kernel reduces entries mod p on entry, so p, -1 and values far
+        # outside [0, p) must count as their residues
+        fld = PrimeField(p)
+        rng = random.Random(p)
+        cases = [[], [[]], [[], []], [[0, 0], [0, 0]], [[p, -p, 3 * p]], [[5, 0], [0, 0]]]
+        for _ in range(300):
+            ncols = rng.randint(1, 6)
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                if rows and rng.random() < 0.3:
+                    # a multiple of an earlier row, shifted by multiples of p
+                    c, base = rng.randint(-3, 3), rng.choice(rows)
+                    rows.append([c * x + p * rng.randint(-2, 2) for x in base])
+                else:
+                    rows.append([
+                        rng.choice((0, p, -1)) if rng.random() < 0.4
+                        else rng.randint(-3 * p, 3 * p)
+                        for _ in range(ncols)
+                    ])
+            cases.append(rows)
+        for rows in cases:
+            assert exact_rank(rows, fld) == len(rref(rows, fld)[0]), rows
+
+    def test_rational_rank_of_zero_rows(self):
+        assert exact_rank([], QQ) == 0
+        assert exact_rank([[], []], QQ) == 0
+        assert exact_rank([[0, 0, 0], [0, 0, 0]], QQ) == 0
+        assert exact_rank([[Fraction(0), 0], [0, Fraction(0, 3)]], QQ) == 0
+        assert exact_rank([[0, 0], [Fraction(1, 2), 0], [0, 0]], QQ) == 1
+
+
 class TestGradedBasis:
     def test_principal_linear(self, R):
         I = IdealHandle(R, [R.parse("x + y")])
