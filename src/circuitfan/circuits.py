@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .elim import clear_denominators
+from .elim import clear_denominators, echelon, parallel, residual
 from .linalg import GradedMatrix, exact_rank, graded_basis, rank_rel
 from .ring import (
     RationalField,
@@ -116,12 +116,15 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
     """All inclusion-minimal supports of nonzero elements of the subspace.
 
     Levelwise search over the independent sets of support monomials, keyed
-    by bitmasks of their positions: a size-k candidate joins two independent
-    (k-1)-sets that differ only in their largest position, and is tested
-    only if all its (k-1)-subsets are independent.  Each test is one rank:
-    rank k makes it independent, rank k-1 makes it a circuit, because it
-    contains no smaller dependent set.  The circuits are the negative border
-    of the independent-set family (Mannila & Toivonen 1997).
+    by bitmasks of their positions: a size-k candidate P+{a,b} joins two
+    independent (k-1)-sets P+{a} and P+{b} that differ only in their largest
+    position, and is tested only if all its (k-1)-subsets are independent.
+    The candidates sharing a prefix P share one fraction-free echelon of P,
+    and each top is reduced against it once; the residuals of a and b are
+    nonzero, so the candidate has rank k-1 or k, and rank k-1 (a circuit,
+    as it contains no smaller dependent set) exactly when the two residuals
+    are parallel.  The circuits are the negative border of the
+    independent-set family (Mannila & Toivonen 1997).
 
     Returns (frozenset of circuits, truncated); the flag is set when the size
     cap stopped the enumeration early.
@@ -129,6 +132,7 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
     fld = W.ring.field
     if W.dim == 0:
         return frozenset(), False
+    p = 0 if isinstance(fld, RationalField) else fld.p
     candidates = W.support_columns()
     images = _quotient_images(W)
     # a dependent set of size codim+1 always exists inside any larger set,
@@ -157,21 +161,25 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
             tops_of.setdefault(mask ^ (1 << top), []).append(top)
         independent = set()
         for prefix, tops in tops_of.items():
+            if len(tops) < 2:
+                continue
             tops.sort()
-            shared = [prefix ^ (1 << i) for i in _bit_indices(prefix)]
+            idx = _bit_indices(prefix)
+            shared = [prefix ^ (1 << i) for i in idx]
+            ech = echelon([vectors[i] for i in idx], p)
+            res = {t: residual(ech, vectors[t], p) for t in tops}
+            # the prefix plus any top is independent
+            assert all(any(r) for r in res.values())
             for a, b in itertools.combinations(tops, 2):
                 pair = (1 << a) | (1 << b)
                 if not all(s | pair in level for s in shared):
                     continue
                 mask = prefix | pair
-                idx = _bit_indices(mask)
-                r = exact_rank([vectors[i] for i in idx], fld)
-                if r == size:
-                    independent.add(mask)
-                else:
+                if parallel(res[a], res[b], p):
                     # all (k-1)-subsets are independent, so the set is minimal
-                    assert size - r == 1
-                    circuits.add(frozenset(candidates[i] for i in idx))
+                    circuits.add(frozenset(candidates[i] for i in _bit_indices(mask)))
+                else:
+                    independent.add(mask)
         level = independent
     return frozenset(circuits), truncated
 

@@ -2,8 +2,10 @@
 
 The one place where the package does Gaussian elimination: reduced row
 echelon form and inverses over any field object, one fraction-free rank
-kernel for the integers and GF(p), and the clearing of rational vectors to
-integer ones.  Imports nothing from the package.
+kernel for the integers and GF(p), a fraction-free echelon with residuals
+and a parallelism test for incremental independence checks, and the
+clearing of rational vectors to integer ones.  Imports nothing from the
+package.
 """
 from __future__ import annotations
 
@@ -37,7 +39,9 @@ def rank_bareiss(rows, p: int = 0) -> int:
     """Rank by fraction-free elimination: exact Bareiss (1968) over the
     integers when ``p`` is 0, each step divided by the previous pivot; over
     GF(p), entries reduced mod p on entry and each step taken as
-    ``(pivot*a - head*b) % p``, with no division."""
+    ``(pivot*a - head*b) % p``, with no division.  Rows below a pivot are
+    zero left of its column, so only the columns from the pivot rightwards
+    are rewritten."""
     m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
     if not m:
         return 0
@@ -52,16 +56,72 @@ def rank_bareiss(rows, p: int = 0) -> int:
         top = m[rank]
         pivot = top[col]
         for i in range(rank + 1, nrows):
-            head = m[i][col]
+            row = m[i]
+            head = row[col]
             if p:
-                m[i] = [(pivot * a - head * b) % p for a, b in zip(m[i], top)]
+                row[col:] = [(pivot * a - head * b) % p for a, b in zip(row[col:], top[col:])]
             else:
-                m[i] = [(pivot * a - head * b) // prev for a, b in zip(m[i], top)]
+                row[col:] = [(pivot * a - head * b) // prev for a, b in zip(row[col:], top[col:])]
         prev = pivot
         rank += 1
         if rank == nrows:
             break
     return rank
+
+
+def echelon(rows, p: int = 0) -> list:
+    """Fraction-free row echelon of linearly independent rows over the
+    integers (``p`` 0) or GF(p), as a list of (pivot column, row) pairs.
+
+    Each row is the ``residual`` of an input row against the rows before
+    it, so it is zero on their pivot columns, and its pivot is its first
+    nonzero entry.  Raises ValueError when the rows are dependent.
+    """
+    ech = []
+    for r in rows:
+        r = residual(ech, r, p)
+        col = next((j for j, x in enumerate(r) if x), None)
+        if col is None:
+            raise ValueError("rows are linearly dependent")
+        ech.append((col, r))
+    return ech
+
+
+def residual(ech, v, p: int = 0) -> list:
+    """The vector v reduced against an ``echelon``: a nonzero multiple of v
+    minus a combination of its rows, zero on every pivot column, and zero
+    exactly when v lies in their span.
+
+    Each step is ``pivot*a - head*b`` over the whole row.  Over the integers
+    the result is divided by its content; over GF(p) entries are reduced
+    mod p on entry and at each step.
+    """
+    v = [x % p for x in v] if p else list(v)
+    for col, row in ech:
+        head = v[col]
+        if not head:
+            continue
+        pivot = row[col]
+        if p:
+            v = [(pivot * a - head * b) % p for a, b in zip(v, row)]
+        else:
+            v = [pivot * a - head * b for a, b in zip(v, row)]
+    if not p:
+        g = math.gcd(*v)
+        if g > 1:
+            v = [x // g for x in v]
+    return v
+
+
+def parallel(a, b, p: int = 0) -> bool:
+    """Whether b is a multiple of the nonzero vector a, over the integers
+    (``p`` 0) or GF(p): every 2x2 minor against the first nonzero entry of a
+    vanishes."""
+    j = next(i for i, x in enumerate(a) if (x % p if p else x))
+    aj, bj = a[j], b[j]
+    if p:
+        return all((aj * y - bj * x) % p == 0 for x, y in zip(a, b))
+    return all(aj * y == bj * x for x, y in zip(a, b))
 
 
 def inverse(rows, fld) -> tuple:

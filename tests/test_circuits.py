@@ -8,13 +8,16 @@ from circuitfan import (
     IdealHandle,
     PolyRing,
     PrimeField,
+    RandomSpec,
     Substitution,
     alpha_vector,
     circuits_truncated,
     initial_circuits,
     initial_space_w,
     is_circuit,
+    random_change,
     span_matrix,
+    transform_ideal,
 )
 from circuitfan.circuits import AlphaVector, CircuitsSet, circuits_of_space
 from circuitfan.linalg import graded_basis, weight_component_dims
@@ -91,6 +94,29 @@ class TestEnumeration:
                 circ, truncated = circuits_of_space(W)
                 assert not truncated
                 assert circ == circuits_bruteforce(W)
+
+    def test_matches_bruteforce_oracle_after_random_change(self, suite):
+        # pieces of suite ideals after a coordinate change with entries up to
+        # 10^4, as gcs draws them: the quotient images are large integers, so
+        # residuals go through content removal and integer growth
+        largest = 0
+        for k, I in enumerate(suite[:6]):
+            J = transform_ideal(random_change(RandomSpec(300 + k, entry_bound=10_000), I.ring), I)
+            for d in (2, 3):
+                W = graded_basis(J, d)
+                largest = max([largest] + [abs(x.numerator) for r in W.rows for x in r])
+                circ, truncated = circuits_of_space(W)
+                assert not truncated
+                assert circ == circuits_bruteforce(W)
+        assert largest > 10**12
+
+    def test_binomial_pair_degree_four(self):
+        # (a*b - c*d, a^2 - b*c) has 36 circuits in degree 4
+        ring = PolyRing(("a", "b", "c", "d"))
+        I = IdealHandle(ring, [ring.parse("a*b - c*d"), ring.parse("a^2 - b*c")])
+        circ, truncated = circuits_of_space(graded_basis(I, 4))
+        assert not truncated
+        assert len(circ) == 36
 
     def test_size_cap_keeps_the_small_circuits(self):
         rng = random.Random(46)

@@ -12,6 +12,7 @@ from circuitfan import (
     rank_rel,
     span_matrix,
 )
+from circuitfan.elim import echelon, parallel, residual
 from circuitfan.linalg import (
     exact_rank,
     rank_bareiss,
@@ -86,6 +87,53 @@ class TestKernels:
             cases.append(rows)
         for rows in cases:
             assert exact_rank(rows, fld) == len(rref(rows, fld)[0]), rows
+
+    @pytest.mark.parametrize("p", [0, 2, 5, 32003])
+    def test_residuals_decide_rank(self, p):
+        # P + [a] and P + [b] independent: the residuals of a and b against
+        # the echelon of P vanish on its pivots, and are parallel exactly
+        # when P + [a, b] has rank len(P) + 1
+        rng = random.Random(70 + p)
+
+        def entry():
+            if rng.random() < 0.3:
+                return p * rng.randint(-2, 2)
+            if p:  # a residue shifted by a multiple of p
+                return rng.randrange(p) + p * rng.randint(-3, 3)
+            return rng.randint(-10**12, 10**12)
+
+        outcomes = {True: 0, False: 0}
+        while min(outcomes.values()) < 100:
+            ncols = rng.randint(1, 6)
+            k = rng.randint(0, ncols - 1)
+            P = [[entry() for _ in range(ncols)] for _ in range(k)]
+            a = [entry() for _ in range(ncols)]
+            if rng.random() < 0.5:
+                # b in the span of P + [a], shifted by multiples of p
+                coeffs = [rng.randint(-3, 3) for _ in range(k + 1)]
+                b = [
+                    sum(c * r[j] for c, r in zip(coeffs, P + [a])) + p * rng.randint(-2, 2)
+                    for j in range(ncols)
+                ]
+            else:
+                b = [entry() for _ in range(ncols)]
+            if rank_bareiss(P + [a], p) < k + 1 or rank_bareiss(P + [b], p) < k + 1:
+                continue
+            ech = echelon(P, p)
+            ra, rb = residual(ech, a, p), residual(ech, b, p)
+            for col, _ in ech:
+                assert ra[col] == rb[col] == 0
+            if p:
+                assert all(0 <= x < p for x in ra + rb)
+            expected = rank_bareiss(P + [a, b], p) == k + 1
+            assert parallel(ra, rb, p) == expected, (P, a, b)
+            outcomes[expected] += 1
+
+    def test_echelon_rejects_dependent_rows(self):
+        with pytest.raises(ValueError):
+            echelon([[1, 2], [2, 4]])
+        with pytest.raises(ValueError):
+            echelon([[1, 2], [6, 2]], 5)
 
     def test_rational_rank_of_zero_rows(self):
         assert exact_rank([], QQ) == 0
