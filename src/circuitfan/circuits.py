@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .elim import clear_denominators, echelon, parallel, residual
 from .linalg import GradedMatrix, exact_rank, graded_basis, rank_rel
 from .ring import (
-    RationalField,
     canonical_key,
     initial_support_w,
     make_weight,
@@ -82,7 +81,7 @@ def _quotient_images(W: GradedMatrix):
     are cleared to integers.
     """
     fld = W.ring.field
-    rational = isinstance(fld, RationalField)
+    rational = not fld.characteristic
     pivot_of_row = {}
     for i, row in enumerate(W.rows):
         j = next(k for k, x in enumerate(row) if not fld.is_zero(x))
@@ -132,7 +131,7 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
     fld = W.ring.field
     if W.dim == 0:
         return frozenset(), False
-    p = 0 if isinstance(fld, RationalField) else fld.p
+    p = fld.characteristic
     candidates = W.support_columns()
     images = _quotient_images(W)
     # a dependent set of size codim+1 always exists inside any larger set,
@@ -167,6 +166,8 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
             idx = _bit_indices(prefix)
             shared = [prefix ^ (1 << i) for i in idx]
             ech = echelon([vectors[i] for i in idx], p)
+            # the prefix is independent
+            assert len(ech) == len(idx)
             res = {t: residual(ech, vectors[t], p) for t in tops}
             # the prefix plus any top is independent
             assert all(any(r) for r in res.values())

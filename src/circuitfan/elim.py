@@ -1,11 +1,13 @@
-"""Exact elimination over a field and denominator clearing.
+"""Exact elimination over Q or GF(p) and denominator clearing.
 
-The one place where the package does Gaussian elimination: reduced row
-echelon form and inverses over any field object, one fraction-free rank
-kernel for the integers and GF(p), a fraction-free echelon with residuals
-and a parallelism test for incremental independence checks, and the
-clearing of rational vectors to integer ones.  Imports nothing from the
-package.
+The one place where the package does Gaussian elimination, and it has one
+loop: ``residual``, the fraction-free reduction of a vector against an
+``echelon``.  Ranks, reduced row echelon forms and inverses are all read
+off echelons.  Every function takes the field's characteristic ``p``: 0
+for the rationals (rows of integers, or of fractions where stated), a
+prime for GF(p).  Also the parallelism test for incremental independence
+checks and the clearing of rational vectors to integer ones.  Imports
+nothing from the package.
 """
 from __future__ import annotations
 
@@ -13,77 +15,52 @@ import math
 from fractions import Fraction
 
 
-def rref(rows, fld):
-    """Reduced row echelon form over a field; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if not fld.is_zero(rows[i][col])), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = fld.invert(rows[rank][col])
-        rows[rank] = [fld.mul(inv, x) for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and not fld.is_zero(rows[i][col]):
-                factor = rows[i][col]
-                rows[i] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return [tuple(r) for r in rows[:rank]], pivots
+def rref(rows, p: int = 0):
+    """Reduced row echelon form over Q (``p`` 0; ints or Fractions) or
+    GF(p); returns (rows, pivot columns), entries Fractions over Q and ints
+    in [0, p) over GF(p).
+
+    Rows are cleared of denominators, put in fraction-free ``echelon``,
+    sorted by pivot column, and each is reduced against the rows with
+    larger pivot columns before its pivot is scaled to 1.
+    """
+    if not p:
+        rows = [clear_denominators(r) for r in rows]
+    ech = sorted(echelon(rows, p), key=lambda e: e[0])
+    out = []
+    for i, (col, row) in enumerate(ech):
+        r = residual(ech[i + 1 :], row, p)
+        pivot = r[col]
+        if p:
+            inv = pow(pivot, -1, p)
+            out.append(tuple(x * inv % p for x in r))
+        else:
+            out.append(tuple(Fraction(x, pivot) for x in r))
+    return out, [col for col, _ in ech]
 
 
 def rank_bareiss(rows, p: int = 0) -> int:
-    """Rank by fraction-free elimination: exact Bareiss (1968) over the
-    integers when ``p`` is 0, each step divided by the previous pivot; over
-    GF(p), entries reduced mod p on entry and each step taken as
-    ``(pivot*a - head*b) % p``, with no division.  Rows below a pivot are
-    zero left of its column, so only the columns from the pivot rightwards
-    are rewritten."""
-    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        pivot = top[col]
-        for i in range(rank + 1, nrows):
-            row = m[i]
-            head = row[col]
-            if p:
-                row[col:] = [(pivot * a - head * b) % p for a, b in zip(row[col:], top[col:])]
-            else:
-                row[col:] = [(pivot * a - head * b) // prev for a, b in zip(row[col:], top[col:])]
-        prev = pivot
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over the integers (``p`` 0) or GF(p): the length of the rows'
+    ``echelon``.  No longer Bareiss elimination; the name stays because
+    ``linalg`` exports it and the benchmark tracer binds it there."""
+    return len(echelon(rows, p))
 
 
 def echelon(rows, p: int = 0) -> list:
-    """Fraction-free row echelon of linearly independent rows over the
-    integers (``p`` 0) or GF(p), as a list of (pivot column, row) pairs.
+    """Fraction-free row echelon of integer rows (``p`` 0) or rows over
+    GF(p), as a list of (pivot column, row) pairs, one per row that is
+    independent of the rows before it; its length is the rank.
 
-    Each row is the ``residual`` of an input row against the rows before
-    it, so it is zero on their pivot columns, and its pivot is its first
-    nonzero entry.  Raises ValueError when the rows are dependent.
+    Each kept row is the ``residual`` of an input row against the rows kept
+    before it, so it is zero on their pivot columns, and its pivot is its
+    first nonzero entry.  Rows whose residual is zero are dropped.
     """
     ech = []
     for r in rows:
         r = residual(ech, r, p)
         col = next((j for j, x in enumerate(r) if x), None)
-        if col is None:
-            raise ValueError("rows are linearly dependent")
-        ech.append((col, r))
+        if col is not None:
+            ech.append((col, r))
     return ech
 
 
@@ -124,15 +101,13 @@ def parallel(a, b, p: int = 0) -> bool:
     return all(aj * y == bj * x for x, y in zip(a, b))
 
 
-def inverse(rows, fld) -> tuple:
-    """Inverse of a square matrix over a field, read off the reduced row
-    echelon form of ``[M | I]``; raises ValueError when M is singular."""
+def inverse(rows, p: int = 0) -> tuple:
+    """Inverse of a square matrix over Q (``p`` 0) or GF(p), read off the
+    reduced row echelon form of ``[M | I]``; raises ValueError when M is
+    singular."""
     n = len(rows)
-    aug = [
-        list(r) + [fld.one if i == j else fld.zero for j in range(n)]
-        for i, r in enumerate(rows)
-    ]
-    ech, pivots = rref(aug, fld)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    ech, pivots = rref(aug, p)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(r[n:] for r in ech)

@@ -14,8 +14,6 @@ from .order import CANONICAL, DRL, MonomialOrder, leading_monomial, weighted
 from .ring import (
     Polynomial,
     PolyRing,
-    PrimeField,
-    RationalField,
     Substitution,
     dim_degree,
     field_from_spec,
@@ -134,7 +132,7 @@ class _Kernel:
         self.ring = ring
         self.field = fld = ring.field
         # over GF(p), coefficients are reduced mod p only when read
-        self.modulus = fld.p if isinstance(fld, PrimeField) else 0
+        self.modulus = fld.characteristic
         n = ring.n
         bits = max(degree, 1).bit_length() + _HEADROOM_BITS
         self.limit = limit = (1 << bits) - 1
@@ -174,7 +172,7 @@ class _Kernel:
     def normalized(self, terms) -> list:
         # over the rationals, monic intermediate elements blow up coefficient
         # sizes; scale to coprime integers with a positive leading coefficient
-        if not isinstance(self.field, RationalField):
+        if self.modulus:
             return self.monic(terms)
         ints = clear_denominators([c for _, _, c in terms])
         g = math.gcd(*ints)

@@ -9,7 +9,6 @@ from .order import CANONICAL, DRL, MonomialOrder, weighted
 from .ring import (
     Polynomial,
     PolyRing,
-    RationalField,
     initial_form_w,
     mono_degree,
     monomials_of_degree,
@@ -66,11 +65,10 @@ def integer_rows(rows):
 
 
 def exact_rank(rows, fld) -> int:
-    """Rank over the field by the one kernel ``rank_bareiss``: over the
-    rationals on denominator-cleared rows, over GF(p) modulo p."""
-    if isinstance(fld, RationalField):
-        return rank_bareiss(integer_rows(rows))
-    return rank_bareiss(rows, fld.p)
+    """Rank over the field by ``rank_bareiss``, the length of an echelon:
+    over the rationals on denominator-cleared rows, over GF(p) modulo p."""
+    p = fld.characteristic
+    return rank_bareiss(rows if p else integer_rows(rows), p)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +90,7 @@ def span_matrix(ring: PolyRing, degree: int, polys, order: MonomialOrder = CANON
                 raise ValueError("polynomial not homogeneous of the requested degree")
             row[index[m]] = c
         raw.append(row)
-    rows, _ = rref(raw, fld)
+    rows, _ = rref(raw, fld.characteristic)
     return GradedMatrix(ring, degree, order, tuple(basis), tuple(rows))
 
 

@@ -72,6 +72,10 @@ class RationalField:
     kind: str = "Q"
 
     @property
+    def characteristic(self) -> int:
+        return 0
+
+    @property
     def zero(self):
         return Fraction(0)
 
@@ -142,6 +146,10 @@ class PrimeField:
     @property
     def kind(self):
         return "GF"
+
+    @property
+    def characteristic(self) -> int:
+        return self.p
 
     @property
     def zero(self):
@@ -599,7 +607,7 @@ class Substitution:
         self.ring = ring
         self.matrix = rows
         self.convention = convention
-        if len(rref(rows, ring.field)[0]) != n:
+        if len(rref(rows, ring.field.characteristic)[0]) != n:
             raise ValueError("substitution matrix is singular")
         fld = ring.field
         images = []
@@ -636,7 +644,7 @@ class Substitution:
         return out
 
     def inverse(self) -> "Substitution":
-        inv = inverse(self.matrix, self.ring.field)
+        inv = inverse(self.matrix, self.ring.field.characteristic)
         return Substitution(self.ring, inv, self.convention)
 
     @staticmethod

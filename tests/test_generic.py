@@ -1,5 +1,6 @@
 import pytest
 
+from circuitfan import groebner
 from circuitfan import (
     IdealHandle,
     PolyRing,
@@ -154,6 +155,22 @@ class TestStabCheck:
         assert all(
             r["equal"] for t in report["trials"] for r in t["b_results"]
         )
+
+    def test_one_buchberger_run_per_g_trial(self, R, monkeypatch):
+        # bJ = J is decided by reducing bJ's generators modulo J's basis,
+        # so only the initial ideal of each coordinate change needs a basis
+        calls = []
+        real = groebner.buchberger_reduced
+
+        def counting(ideal, order):
+            calls.append(order)
+            return real(ideal, order)
+
+        monkeypatch.setattr(groebner, "buchberger_reduced", counting)
+        I = IdealHandle(R, [R.parse("x^2 + x*y + y^2"), R.parse("x*y^2")])
+        report = stab_check(I, (1, 0), RandomSpec(23), g_trials=3, b_trials=4)
+        assert report["passed"]
+        assert len(calls) == 3
 
     def test_trivial_group_note(self, R):
         I = IdealHandle(R, [R.parse("x^2")])

@@ -12,16 +12,19 @@ from circuitfan import (
     rank_rel,
     span_matrix,
 )
-from circuitfan.elim import echelon, parallel, residual
+from circuitfan.elim import echelon, inverse, parallel, residual
+from circuitfan.generic import RandomSpec, random_change
+from circuitfan.groebner import transform_ideal
 from circuitfan.linalg import (
     exact_rank,
     rank_bareiss,
     rref,
     weight_component_dims,
 )
-from circuitfan.ring import QQ, PrimeField, monomials_of_degree
+from circuitfan.ring import QQ, PrimeField, monomials_of_degree, poly_str
 
 from conftest import random_homogeneous
+from oracles import inverse_reference, rank_reference, rref_reference
 
 
 @pytest.fixture
@@ -38,7 +41,7 @@ class TestKernels:
                 for _ in range(rng.randint(1, 5))
             ]
             frac = [[Fraction(x) for x in r] for r in rows]
-            assert rank_bareiss(rows) == len(rref(frac, QQ)[0])
+            assert rank_bareiss(rows) == rank_reference(frac, QQ)
 
     def test_exact_rank_prime_field(self):
         fld = PrimeField(5)
@@ -60,7 +63,7 @@ class TestKernels:
             for r in rows:
                 c = Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(2, 7))
                 scaled.append([c * x for x in r])
-            assert exact_rank(rows, QQ) == exact_rank(scaled, QQ) == len(rref(scaled, QQ)[0])
+            assert exact_rank(rows, QQ) == exact_rank(scaled, QQ) == rank_reference(scaled, QQ)
 
 
     @pytest.mark.parametrize("p", [2, 5, 32003])
@@ -86,7 +89,7 @@ class TestKernels:
                     ])
             cases.append(rows)
         for rows in cases:
-            assert exact_rank(rows, fld) == len(rref(rows, fld)[0]), rows
+            assert exact_rank(rows, fld) == rank_reference(rows, fld), rows
 
     @pytest.mark.parametrize("p", [0, 2, 5, 32003])
     def test_residuals_decide_rank(self, p):
@@ -94,6 +97,7 @@ class TestKernels:
         # the echelon of P vanish on its pivots, and are parallel exactly
         # when P + [a, b] has rank len(P) + 1
         rng = random.Random(70 + p)
+        fld = PrimeField(p) if p else QQ
 
         def entry():
             if rng.random() < 0.3:
@@ -117,7 +121,7 @@ class TestKernels:
                 ]
             else:
                 b = [entry() for _ in range(ncols)]
-            if rank_bareiss(P + [a], p) < k + 1 or rank_bareiss(P + [b], p) < k + 1:
+            if rank_reference(P + [a], fld) < k + 1 or rank_reference(P + [b], fld) < k + 1:
                 continue
             ech = echelon(P, p)
             ra, rb = residual(ech, a, p), residual(ech, b, p)
@@ -125,15 +129,32 @@ class TestKernels:
                 assert ra[col] == rb[col] == 0
             if p:
                 assert all(0 <= x < p for x in ra + rb)
-            expected = rank_bareiss(P + [a, b], p) == k + 1
+            expected = rank_reference(P + [a, b], fld) == k + 1
             assert parallel(ra, rb, p) == expected, (P, a, b)
             outcomes[expected] += 1
 
-    def test_echelon_rejects_dependent_rows(self):
-        with pytest.raises(ValueError):
-            echelon([[1, 2], [2, 4]])
-        with pytest.raises(ValueError):
-            echelon([[1, 2], [6, 2]], 5)
+    @pytest.mark.parametrize("p", [0, 2, 5, 32003])
+    def test_echelon_drops_dependent_rows(self, p):
+        # a row in the span of the rows before it leaves no trace, so the
+        # echelon's length is the rank
+        fld = PrimeField(p) if p else QQ
+        rng = random.Random(80 + p)
+        cases = [[], [[]], [[0, 0]], [[1, 2], [2, 4]], [[1, 2], [6, 2]], [[0, 1], [1, 0], [1, 1]]]
+        for _ in range(200):
+            ncols = rng.randint(1, 6)
+            rows = []
+            for _ in range(rng.randint(1, 7)):
+                if rows and rng.random() < 0.4:
+                    c, d = rng.randint(-3, 3), rng.randint(-3, 3)
+                    r1, r2 = rng.choice(rows), rng.choice(rows)
+                    rows.append([c * x + d * y + p * rng.randint(-2, 2) for x, y in zip(r1, r2)])
+                else:
+                    rows.append([rng.randint(-9, 9) for _ in range(ncols)])
+            cases.append(rows)
+        for rows in cases:
+            ech = echelon(rows, p)
+            assert len(ech) == rank_reference(rows, fld), rows
+            assert all(r[col] and not any(r[:col]) for col, r in ech)
 
     def test_rational_rank_of_zero_rows(self):
         assert exact_rank([], QQ) == 0
@@ -141,6 +162,68 @@ class TestKernels:
         assert exact_rank([[0, 0, 0], [0, 0, 0]], QQ) == 0
         assert exact_rank([[Fraction(0), 0], [0, Fraction(0, 3)]], QQ) == 0
         assert exact_rank([[0, 0], [Fraction(1, 2), 0], [0, 0]], QQ) == 1
+
+    @pytest.mark.parametrize("p", [0, 2, 5, 32003])
+    def test_rref_matches_reference(self, p, suite):
+        # the RREF is unique: rows, pivot columns and scalar types must match
+        # the Gauss-Jordan reference, Fractions over Q and ints in [0, p)
+        # over GF(p)
+        fld = PrimeField(p) if p else QQ
+        rng = random.Random(90 + p)
+
+        def entry():
+            if rng.random() < 0.3:
+                return 0
+            if p:  # a residue shifted by a multiple of p
+                return rng.randrange(p) + p * rng.randint(-3, 3)
+            return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+
+        def typed(x):
+            return type(x) is Fraction if not p else type(x) is int and 0 <= x < p
+
+        cases = [[], [[]], [[], []], [[0, 0, 0]], [[0, 0], [0, 0]], [[2, 4], [1, 2]]]
+        for _ in range(150):
+            ncols = rng.randint(1, 6)
+            rows = []
+            for _ in range(rng.randint(1, 6)):
+                if rows and rng.random() < 0.3:
+                    # a multiple of an earlier row, zero when c is 0
+                    c, base = rng.randint(-3, 3), rng.choice(rows)
+                    rows.append([c * x + p * rng.randint(-2, 2) for x in base])
+                else:
+                    rows.append([entry() for _ in range(ncols)])
+            cases.append(rows)
+        # the generator multiples of graded pieces after a random change
+        for i, I in enumerate(suite[:6]):
+            ring = PolyRing(I.ring.names, fld)
+            gens = [ring.parse(poly_str(g)) for g in I.generators]
+            J = IdealHandle(ring, [g for g in gens if not g.is_zero()])
+            J = transform_ideal(random_change(RandomSpec(i, entry_bound=10_000), ring), J)
+            for d in (3, 4):
+                basis = monomials_of_degree(ring.n, d)
+                rows = []
+                for g in J.generators:
+                    if g.degree() > d:
+                        continue
+                    for m in monomials_of_degree(ring.n, d - g.degree()):
+                        terms = g.mul_monomial(m).terms
+                        rows.append([terms.get(b, fld.zero) for b in basis])
+                cases.append(rows)
+        for rows in cases:
+            got, expected = rref(rows, p), rref_reference(rows, fld)
+            assert got == expected, rows
+            assert all(typed(x) for r in got[0] for x in r), rows
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            M = [[entry() for _ in range(n)] for _ in range(n)]
+            expected = inverse_reference(M, fld)
+            if expected is None:
+                with pytest.raises(ValueError):
+                    inverse(M, p)
+                continue
+            got = inverse(M, p)
+            assert got == expected, M
+            assert all(typed(x) for r in got for x in r), M
 
 
 class TestGradedBasis:
