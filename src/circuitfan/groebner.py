@@ -60,26 +60,32 @@ class IdealHandle:
         self.ring = ring
         self.generators = tuple(gens)
         self._cache = {}
+        # (elements, leading monomials under their own order) of each basis
+        # that was computed or seeded, recorded once when it is stored; a
+        # basis that _reuse returns has those of the one it came from
+        self._held = []
 
     def groebner(self, order: MonomialOrder = CANONICAL) -> GroebnerBasis:
         """Reduced basis for the order: cached, else a cached basis that is
         also reduced for it, else computed by Buchberger."""
         gb = self._cache.get(order)
         if gb is None:
-            gb = self._cache[order] = self._reuse(order) or buchberger_reduced(self, order)
+            gb = self._reuse(order) or self._hold(buchberger_reduced(self, order))
+            self._cache[order] = gb
+        return gb
+
+    def _hold(self, gb: GroebnerBasis) -> GroebnerBasis:
+        self._held.append((gb.elements, tuple(gb.leading_monomials())))
         return gb
 
     def _reuse(self, order: MonomialOrder):
-        for held in self._cache.values():
+        for elements, leads in self._held:
             # homogeneous ideal: unchanged leading monomials generate in_held(I),
             # which has the Hilbert function of in_order(I), so they generate
             # in_order(I) and the monic, reduced held basis is the reduced one
-            if all(
-                leading_monomial(g, order) == leading_monomial(g, held.order)
-                for g in held.elements
-            ):
-                elements = sorted(held.elements, key=lambda g: order.key(leading_monomial(g, order)))
-                return GroebnerBasis(order, tuple(elements))
+            if all(leading_monomial(g, order) == m for g, m in zip(elements, leads)):
+                ranked = sorted(zip(leads, elements), key=lambda p: order.key(p[0]))
+                return GroebnerBasis(order, tuple(g for _, g in ranked))
         return None
 
     def is_zero(self) -> bool:
@@ -126,7 +132,13 @@ def _order_rows(order: MonomialOrder, n: int) -> list:
 
 class _Kernel:
     """Packed terms of one ring under one order, and division on them; sized
-    for a largest input degree: every exponent up to `limit` fits."""
+    for a largest input degree: every exponent up to `limit` fits.
+
+    Over GF(p) coefficients are ints, reduced mod p when read, and divisors
+    are monic.  Over Q they are ints too: an element is kept primitive with a
+    positive leading coefficient, and division scales instead of dividing
+    (fraction-free, as Monagan & Pearce divide over the integers).  Only
+    unpack makes Fractions."""
 
     def __init__(self, order: MonomialOrder, ring: PolyRing, degree: int):
         self.ring = ring
@@ -161,43 +173,55 @@ class _Kernel:
             ((self.key(m), self.exponent(m), c) for m, c in f.terms.items()), reverse=True
         )
 
-    def unpack(self, terms) -> Polynomial:
-        return Polynomial(self.ring, {self.monomial(e): c for _, e, c in terms})
-
-    def monic(self, terms) -> list:
-        fld = self.field
-        inv = fld.invert(terms[0][2])
-        return [(k, e, fld.mul(c, inv)) for k, e, c in terms]
+    def unpack(self, terms, den: int) -> Polynomial:
+        """The polynomial of the terms divided by den; over Q its coefficients
+        are Fractions, over GF(p) den is 1."""
+        if self.modulus:
+            return Polynomial(self.ring, {self.monomial(e): c for _, e, c in terms})
+        return Polynomial(self.ring, {self.monomial(e): Fraction(c, den) for _, e, c in terms})
 
     def normalized(self, terms) -> list:
-        # over the rationals, monic intermediate elements blow up coefficient
-        # sizes; scale to coprime integers with a positive leading coefficient
+        """The terms with int coefficients: over GF(p) monic, over Q scaled
+        to coprime integers with a positive leading coefficient."""
         if self.modulus:
-            return self.monic(terms)
+            fld = self.field
+            inv = fld.invert(terms[0][2])
+            return [(k, e, fld.mul(c, inv)) for k, e, c in terms]
         ints = clear_denominators([c for _, _, c in terms])
         g = math.gcd(*ints)
-        if terms[0][2] < 0:
+        if ints[0] < 0:
             g = -g
-        return [(k, e, Fraction(c // g)) for (k, e, _), c in zip(terms, ints)]
+        return [(k, e, c // g) for (k, e, _), c in zip(terms, ints)]
 
     def reducer(self, terms):
-        """(leading exponent, leading key, tail, growth) of a packed
-        polynomial; the tail's coefficients are negated and divided by the
-        leading one, growth is how far its degree passes the leading one's."""
+        """(leading exponent, leading key, leading coefficient, tail, growth)
+        of normalized terms.  Over GF(p) the tail's coefficients are negated
+        and divided by the leading one, which is then 1; over Q they are the
+        negated ints.  Growth is how far the tail's degree passes the leading
+        monomial's."""
         if not terms:
             raise ValueError("leading term of the zero polynomial")
         lk, le, lc = terms[0]
-        fld = self.field
-        inv = fld.invert(lc)
-        tail = [(k, e, fld.neg(fld.mul(c, inv))) for k, e, c in terms[1:]]
+        if self.modulus:
+            fld = self.field
+            inv = fld.invert(lc)
+            tail = [(k, e, fld.neg(fld.mul(c, inv))) for k, e, c in terms[1:]]
+            lc = 1
+        else:
+            tail = [(k, e, -c) for k, e, c in terms[1:]]
         degree = max((sum(self.monomial(e)) for _, e, _ in tail), default=0)
-        return le, lk, tail, max(degree - sum(self.monomial(le)), 0)
+        return le, lk, lc, tail, max(degree - sum(self.monomial(le)), 0)
 
-    def reduce(self, terms, reducers) -> list:
-        """Remainder, key-descending, of the sum of the (key, exponent,
-        coefficient) terms on division by the reducers: each greatest term
-        goes to the first reducer whose leading monomial divides it, and to
-        the remainder if there is none."""
+    def reduce(self, terms, reducers):
+        """(remainder, scale): the remainder, key-descending, of scale times
+        the sum of the (key, exponent, coefficient) terms on division by the
+        reducers.  Each greatest term c*x^m goes to the first reducer whose
+        leading monomial divides it, and to the remainder if there is none.
+        A step by a reducer with leading coefficient lc, g = gcd(c, lc),
+        multiplies everything pending and the remainder so far by lc // g
+        (and scale with them) and then adds (c // g)*x^q*tail: over Q no
+        coefficient leaves the integers.  Over GF(p) lc is 1 and so is
+        scale."""
         work, expo = {}, {}
         for k, e, c in terms:
             old = work.get(k)
@@ -209,7 +233,9 @@ class _Kernel:
         heap = [-k for k in work]
         heapq.heapify(heap)
         pop, push, guard, modulus = heapq.heappop, heapq.heappush, self.guard, self.modulus
+        gcd = math.gcd
         remainder = []
+        scale = 1
         while heap:
             k = -pop(heap)
             c = work.pop(k)
@@ -218,7 +244,7 @@ class _Kernel:
             if not c:
                 continue
             e = expo[k]
-            for le, lk, tail, growth in reducers:
+            for le, lk, lc, tail, growth in reducers:
                 q = e - le
                 if q & guard:
                     continue
@@ -226,6 +252,14 @@ class _Kernel:
                     raise OverflowError(
                         f"a degree past {self.limit} overflows the packed monomials"
                     )
+                if lc != 1:
+                    g = gcd(c, lc)
+                    if g != lc:
+                        m = lc // g
+                        scale *= m
+                        work = {t: v * m for t, v in work.items()}
+                        remainder = [(rk, re, rc * m) for rk, re, rc in remainder]
+                    c //= g
                 dk = k - lk
                 for gk, ge, gc in tail:
                     t = gk + dk
@@ -239,7 +273,7 @@ class _Kernel:
                 break
             else:
                 remainder.append((k, e, c))
-        return remainder
+        return remainder, scale
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -247,7 +281,13 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     a leading monomial of G."""
     degree = max((sum(m) for g in (f, *G.elements) for m in g.terms), default=0)
     K = _Kernel(G.order, f.ring, degree)
-    return K.unpack(K.reduce(K.pack(f), [K.reducer(K.pack(g)) for g in G.elements]))
+    reducers = [K.reducer(K.normalized(K.pack(g))) for g in G.elements]
+    # over Q, d*f has int coefficients (over GF(p) d is 1)
+    terms = K.pack(f)
+    d = math.lcm(*(c.denominator for _, _, c in terms))
+    ints = [(k, e, c.numerator * (d // c.denominator)) for k, e, c in terms]
+    r, scale = K.reduce(ints, reducers)
+    return K.unpack(r, d * scale)
 
 
 def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> GroebnerBasis:
@@ -298,12 +338,15 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
             continue  # coprime leading monomials
         if chain_criterion(i, j, lcm):
             continue
-        # S-polynomial: the reducers' tails are -(tail / leading coefficient)
+        # S-polynomial (lc_j*x^a*g_i - lc_i*x^b*g_j) / gcd(lc_i, lc_j): the
+        # leading terms cancel, and the reducers hold negated tails
+        lci, lcj = red[i][2], red[j][2]
+        g = math.gcd(lci, lcj)
         s = []
-        for sign, (le, lk, tail, _) in ((-1, red[i]), (1, red[j])):
+        for factor, (le, lk, _, tail, _) in ((-lcj // g, red[i]), (lci // g, red[j])):
             dk, q = key - lk, lcm - le
-            s += [(gk + dk, ge + q, sign * gc) for gk, ge, gc in tail]
-        h = K.reduce(s, red)
+            s += [(gk + dk, ge + q, factor * gc) for gk, ge, gc in tail]
+        h, _ = K.reduce(s, red)
         if not h:
             continue
         h = K.normalized(h)
@@ -330,14 +373,14 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
     while changed:
         changed = False
         for i, f in enumerate(final):
-            r = K.reduce(f, red[:i] + red[i + 1 :])
-            if r != f:
+            r, scale = K.reduce(f, red[:i] + red[i + 1 :])
+            if scale != 1 or r != f:
                 final[i] = K.normalized(r)
                 red[i] = K.reducer(final[i])
                 changed = True
 
     final.sort(key=lambda f: f[0][0])
-    return GroebnerBasis(order, tuple(K.unpack(K.monic(f)) for f in final))
+    return GroebnerBasis(order, tuple(K.unpack(f, f[0][2]) for f in final))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +405,7 @@ def initial_ideal_w(I: IdealHandle, w, tie: MonomialOrder = DRL) -> IdealHandle:
     # basis of in_w(I); each keeps its element's leading term and a subset of
     # its tail, so they are monic and reduced: the tie-reduced basis
     forms.sort(key=lambda g: tie.key(leading_monomial(g, tie)))
-    J._cache[tie] = GroebnerBasis(tie, tuple(forms))
+    J._cache[tie] = J._hold(GroebnerBasis(tie, tuple(forms)))
     return J
 
 

@@ -242,6 +242,18 @@ class TestParser:
         assert out.stdout.strip() == "0"
 
 
+class TestModuleEntry:
+    def test_python_dash_m_matches_main(self, capsys, pair_file):
+        argv = ["--no-timestamp", "gb", pair_file, "--order", "lex"]
+        code = main(argv)
+        want = capsys.readouterr().out
+        src = Path(circuitfan.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-m", "circuitfan", *argv], cwd=src, capture_output=True, text=True
+        )
+        assert (out.returncode, out.stdout) == (code, want)
+
+
 class TestFieldOverride:
     def test_gf_override(self, capsys, ideal_file):
         code, doc = run(

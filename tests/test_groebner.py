@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -97,6 +98,19 @@ def s_polynomial(f, g, order):
     return a - g.mul_monomial(mono_div(lcm, mg)).scale(fld.invert(cg))
 
 
+def rational_divisors(elements, order, rng):
+    """The polynomials with each tail coefficient divided by 5 times the
+    leading one, and the leading coefficient set to -k/5 for k in {2, 3, 6}:
+    negative, not a unit, with Fraction tails."""
+    out = []
+    for g in elements:
+        lm, lc = leading_term(g, order)
+        terms = {m: c / lc / 5 for m, c in g.terms.items()}
+        terms[lm] = Fraction(-rng.choice((2, 3, 6)), 5)
+        out.append(Polynomial(g.ring, terms))
+    return tuple(out)
+
+
 class TestNormalForm:
     def test_membership(self, R):
         I = IdealHandle(R, [R.parse("x"), R.parse("y")])
@@ -135,6 +149,46 @@ class TestNormalForm:
                         I.ring.zero(),
                     )
                     assert normal_form(f, G) == reference_normal_form(f, G)
+
+    @pytest.mark.parametrize("order", [LEX, DRL, weighted((2, -1, 0))], ids=["lex", "drl", "w2,-1,0"])
+    def test_rational_input_matches_reference_division(self, suite, order):
+        # f has denominators 3, 7 and 21, the divisors negative, non-unit
+        # leading coefficients and Fraction tails: the integer kernel clears
+        # f's denominators and must divide them and its scale back out
+        rng = random.Random(24)
+        parts = ((1, Fraction(1, 3)), (2, Fraction(-5, 7)), (3, Fraction(1)), (4, Fraction(2, 21)))
+        for I in suite[1:10:2]:
+            ring = I.ring
+            for elements in (I.generators, I.groebner(order).elements):
+                G = GroebnerBasis(order, rational_divisors(elements, order, rng))
+                for _ in range(5):
+                    f = sum(
+                        (random_homogeneous(ring, d, rng).scale(c) for d, c in parts), ring.zero()
+                    )
+                    assert normal_form(f, G) == reference_normal_form(f, G)
+
+    def test_integer_kernel_keeps_int_coefficients(self, suite):
+        # over Q the kernel's divisors are primitive with a positive leading
+        # coefficient, so a division step only ever scales by a positive int
+        rng = random.Random(25)
+        for I in suite[1:10:2]:
+            ring = I.ring
+            G = GroebnerBasis(DRL, rational_divisors(I.generators, DRL, rng))
+            K = _Kernel(DRL, ring, 6)
+            reducers = [K.reducer(K.normalized(K.pack(g))) for g in G.elements]
+            for _, _, lc, tail, _ in reducers:
+                assert type(lc) is int and lc > 0
+                assert all(type(c) is int for _, _, c in tail)
+                assert math.gcd(lc, *(c for _, _, c in tail)) == 1
+            scales = set()
+            for d in (3, 4, 5, 6):
+                f = random_homogeneous(ring, d, rng)
+                r, scale = K.reduce([(k, e, int(c)) for k, e, c in K.pack(f)], reducers)
+                assert all(type(c) is int for _, _, c in r)
+                assert type(scale) is int and scale > 0
+                assert K.unpack(r, scale) == reference_normal_form(f, G)
+                scales.add(scale)
+            assert scales != {1}
 
     def test_cancelled_term_reenters(self, R):
         # x*y^2 brings in y^4; x*y cancels y^3; y^4 brings y^3 back
@@ -215,24 +269,78 @@ class TestBuchberger:
     @pytest.mark.parametrize("order, name", [(LEX, "lex"), (DRL, "grevlex")], ids=["lex", "grevlex"])
     def test_matches_sympy_groebner(self, suite, order, name, field):
         sympy = pytest.importorskip("sympy")
-        if field == GF:
-            options = {"modulus": GF.p}
-            canonical = lambda terms: frozenset((m, int(c) % GF.p) for m, c in terms)
-        else:
-            options = {"domain": sympy.QQ}
-            canonical = lambda terms: frozenset((m, sympy.Rational(c)) for m, c in terms)
         for I in suite:
-            I = over(field, I)
-            syms = sympy.symbols(I.ring.names)
-            polys = [
-                sympy.Poly.from_dict({m: sympy.Rational(c) for m, c in g.terms.items()},
-                                     *syms, **options)
-                for g in I.generators
-            ]
-            reference = sympy.groebner(polys, *syms, order=name, **options)
-            want = {canonical(p.terms()) for p in reference.polys}
-            got = {canonical(g.terms.items()) for g in buchberger_reduced(I, order).elements}
-            assert got == want, I
+            assert_matches_sympy(sympy, over(field, I), order, name)
+
+
+def assert_matches_sympy(sympy, I, order, name):
+    """buchberger_reduced(I, order) is the reduced basis sympy.groebner
+    computes under the order it calls name."""
+    field = I.ring.field
+    if field == GF:
+        options = {"modulus": GF.p}
+        canonical = lambda terms: frozenset((m, int(c) % GF.p) for m, c in terms)
+    else:
+        options = {"domain": sympy.QQ}
+        canonical = lambda terms: frozenset((m, sympy.Rational(c)) for m, c in terms)
+    syms = sympy.symbols(I.ring.names)
+    polys = [
+        sympy.Poly.from_dict({m: sympy.Rational(c) for m, c in g.terms.items()}, *syms, **options)
+        for g in I.generators
+    ]
+    reference = sympy.groebner(polys, *syms, order=name, **options)
+    want = {canonical(p.terms()) for p in reference.polys}
+    got = {canonical(g.terms.items()) for g in buchberger_reduced(I, order).elements}
+    assert got == want, I
+
+
+def differential_ideals(seed, count):
+    """Random homogeneous ideals beyond the suite: alternately in 3 and 4
+    variables, two over Q, then two over GF(32003), and so on; a quadric with
+    one more generator of degree 2-4, and in 3 variables a third.  Lex bases
+    of three generators in 4 variables can take sympy minutes."""
+    rng = random.Random(seed)
+    ideals = []
+    for k in range(count):
+        n = 3 + k % 2
+        ring = PolyRing(("a", "b", "c", "d")[:n], (QQ, GF)[k // 2 % 2])
+        degrees = [2] + [rng.choice((2, 3, 4)) for _ in range(5 - n)]
+        gens = [random_homogeneous(ring, d, rng, density=0.5) for d in degrees]
+        ideals.append(IdealHandle(ring, gens))
+    return ideals
+
+
+def katsura(n):
+    """Homogenized katsura-n over Q, in u0..un and h: for m < n,
+    sum over l in [-n, n] of u_|l| u_|m-l| = u_m h (u_k = 0 for k > n), and
+    u0 + 2 (u1 + ... + un) = h."""
+    names = tuple(f"u{i}" for i in range(n + 1)) + ("h",)
+    ring = PolyRing(names)
+    u = [ring.parse(v) for v in names]
+    h = u.pop()
+    unknown = lambda l: u[abs(l)] if abs(l) <= n else ring.zero()
+    gens = [
+        sum((unknown(l) * unknown(m - l) for l in range(-n, n + 1)), ring.zero()) - u[m] * h
+        for m in range(n)
+    ]
+    gens.append(u[0] + sum(u[1:], ring.zero()).scale(Fraction(2)) - h)
+    return IdealHandle(ring, gens)
+
+
+class TestSympyDifferential:
+    """Reduced bases against sympy.groebner on inputs the suite does not
+    hold."""
+
+    @pytest.mark.parametrize("order, name", [(LEX, "lex"), (DRL, "grevlex")], ids=["lex", "grevlex"])
+    def test_random_ideals(self, order, name):
+        sympy = pytest.importorskip("sympy")
+        for I in differential_ideals(2031, 40):
+            assert_matches_sympy(sympy, I, order, name)
+
+    def test_katsura4_coefficient_growth(self):
+        # the reduced grevlex basis has coefficients of ten digits over Q
+        sympy = pytest.importorskip("sympy")
+        assert_matches_sympy(sympy, katsura(4), DRL, "grevlex")
 
 
 KERNEL_ORDERS = [
