@@ -2,10 +2,9 @@
 and the filtration rank vector."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .elim import clear_denominators, echelon, parallel, residual
+from .elim import clear_denominators, residual
 from .linalg import GradedMatrix, exact_rank, graded_basis, rank_rel
 from .ring import (
     canonical_key,
@@ -101,87 +100,74 @@ def _quotient_images(W: GradedMatrix):
     return images
 
 
-def _bit_indices(mask: int) -> list:
-    """Positions of the set bits of mask, increasing."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def circuits_of_space(W: GradedMatrix, size_cap: int = None):
     """All inclusion-minimal supports of nonzero elements of the subspace.
 
-    Levelwise search over the independent sets of support monomials, keyed
-    by bitmasks of their positions: a size-k candidate P+{a,b} joins two
-    independent (k-1)-sets P+{a} and P+{b} that differ only in their largest
-    position, and is tested only if all its (k-1)-subsets are independent.
-    The candidates sharing a prefix P share one fraction-free echelon of P,
-    and each top is reduced against it once; the residuals of a and b are
-    nonzero, so the candidate has rank k-1 or k, and rank k-1 (a circuit,
-    as it contains no smaller dependent set) exactly when the two residuals
-    are parallel.  The circuits are the negative border of the
-    independent-set family (Mannila & Toivonen 1997).
+    Depth-first search over the independent sets S of support monomials,
+    each extended only by monomials after its last one.  Every quotient
+    image is extended by its coordinate vector among the candidates, so a
+    residual also records the combination it is.  A node holds the
+    residuals against S of the monomials b after S; a child S + {a} reduces
+    each later residual against that of a in one ``residual`` step.  A
+    residual that vanishes on the image part is the dependency of S + {b},
+    which holds exactly one circuit, the support of its coordinate part
+    (the fundamental circuit, Oxley, *Matroid Theory*, 1.2); b is then
+    dropped from the node, as it stays dependent, with the same circuit, on
+    every extension of S.  Each circuit C is found from S = C minus its
+    last monomial, and the search holds only the nodes on one path.
 
     Returns (frozenset of circuits, truncated); the flag is set when the size
     cap stopped the enumeration early.
     """
-    fld = W.ring.field
     if W.dim == 0:
         return frozenset(), False
-    p = fld.characteristic
+    p = W.ring.field.characteristic
     candidates = W.support_columns()
+    n = len(candidates)
     images = _quotient_images(W)
-    # a dependent set of size codim+1 always exists inside any larger set,
-    # so circuits never exceed codim+1
-    max_size = W.ncols - W.dim + 1
+    # the images have length codim; a dependent set of size codim+1 always
+    # exists inside any larger set, so circuits never exceed codim+1
+    q = W.ncols - W.dim
+    max_size = q + 1
     if size_cap is None:
-        size_cap = len(candidates)
+        size_cap = n
     if size_cap < 1:
         raise ValueError("size_cap must be positive")
-    limit = min(size_cap, max_size, len(candidates))
-    truncated = limit < min(max_size, len(candidates))
-    vectors = [images[m] for m in candidates]
+    limit = min(size_cap, max_size, n)
+    truncated = limit < min(max_size, n)
     circuits = set()
-    level = set()
-    for i, v in enumerate(vectors):
-        if any(not fld.is_zero(x) for x in v):
-            level.add(1 << i)
-        else:
-            circuits.add(frozenset((candidates[i],)))
-    size = 1
-    while level and size < limit:
-        size += 1
-        tops_of = {}
-        for mask in level:
-            top = mask.bit_length() - 1
-            tops_of.setdefault(mask ^ (1 << top), []).append(top)
-        independent = set()
-        for prefix, tops in tops_of.items():
-            if len(tops) < 2:
-                continue
-            tops.sort()
-            idx = _bit_indices(prefix)
-            shared = [prefix ^ (1 << i) for i in idx]
-            ech = echelon([vectors[i] for i in idx], p)
-            # the prefix is independent
-            assert len(ech) == len(idx)
-            res = {t: residual(ech, vectors[t], p) for t in tops}
-            # the prefix plus any top is independent
-            assert all(any(r) for r in res.values())
-            for a, b in itertools.combinations(tops, 2):
-                pair = (1 << a) | (1 << b)
-                if not all(s | pair in level for s in shared):
-                    continue
-                mask = prefix | pair
-                if parallel(res[a], res[b], p):
-                    # all (k-1)-subsets are independent, so the set is minimal
-                    circuits.add(frozenset(candidates[i] for i in _bit_indices(mask)))
-                else:
-                    independent.add(mask)
-        level = independent
+
+    def independent(rows):
+        """The rows nonzero on the image part; each other row's coordinate
+        support is a circuit."""
+        kept = []
+        for r in rows:
+            if any(r[:q]):
+                kept.append(r)
+            else:
+                circuits.add(frozenset(candidates[i] for i, x in enumerate(r[q:]) if x))
+        return kept
+
+    def children(rows):
+        # the last monomial has no later ones, so its node would be empty
+        for i, ra in enumerate(rows[:-1]):
+            # the pivot lies in the image part, where ra is nonzero
+            col = next(j for j, x in enumerate(ra) if x)
+            yield independent([residual(((col, ra),), rb, p) for rb in rows[i + 1 :]])
+
+    root = independent(
+        images[m] + tuple(int(i == j) for j in range(n)) for i, m in enumerate(candidates)
+    )
+    # the generator on top of the stack yields the nodes of size len(stack),
+    # whose residuals find the circuits of size len(stack) + 1; a node's own
+    # children are visited only if theirs are within the limit
+    stack = [children(root)] if limit >= 2 else []
+    while stack:
+        rows = next(stack[-1], None)
+        if rows is None:
+            stack.pop()
+        elif len(stack) + 2 <= limit:
+            stack.append(children(rows))
     return frozenset(circuits), truncated
 
 

@@ -42,7 +42,7 @@ from .groebner import (
 )
 from .linalg import graded_basis
 from .order import parse_order
-from .ring import PrimeField, field_from_spec, parse_weight, poly_str, PolyRing
+from .ring import field_from_spec, parse_weight, poly_str, PolyRing
 from .groebner import IdealHandle
 
 SEED_ENV = "CIRCUITFAN_SEED"
@@ -69,7 +69,10 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"{SEED_ENV} must be an integer, not {env!r}") from None
 
 
 @functools.cache
@@ -181,7 +184,7 @@ def _dispatch(args, ring, ideal, seed):
     if cmd == "gcs":
         cs = gcs_truncated(ideal, args.trunc, spec, retries=args.retries)
         doc = {"trunc": args.trunc, "circuits": cs.to_json(ring)}
-        if isinstance(ring.field, PrimeField):
+        if ring.field.characteristic:
             doc["genericity"] = "heuristic (finite field)"
         return EXIT_OK, doc
     if cmd == "alpha":
@@ -271,12 +274,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     config = {k: v for k, v in sorted(vars(args).items()) if k != "output"}
-    seed = _resolve_seed(args)
-    config["seed"] = seed
     document = {"config": config}
     if not args.no_timestamp:
         document["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     try:
+        # the key is already in config, so a valid seed keeps its place
+        seed = config["seed"] = _resolve_seed(args)
         ring, ideal = _load_ideal(args.input, args.field)
         code, payload = _dispatch(args, ring, ideal, seed)
         document.update(payload)

@@ -5,9 +5,8 @@ loop: ``residual``, the fraction-free reduction of a vector against an
 ``echelon``.  Ranks, reduced row echelon forms and inverses are all read
 off echelons.  Every function takes the field's characteristic ``p``: 0
 for the rationals (rows of integers, or of fractions where stated), a
-prime for GF(p).  Also the parallelism test for incremental independence
-checks and the clearing of rational vectors to integer ones.  Imports
-nothing from the package.
+prime for GF(p).  Also the clearing of rational vectors to integer ones.
+Imports nothing from the package.
 """
 from __future__ import annotations
 
@@ -88,17 +87,6 @@ def residual(ech, v, p: int = 0) -> list:
         if g > 1:
             v = [x // g for x in v]
     return v
-
-
-def parallel(a, b, p: int = 0) -> bool:
-    """Whether b is a multiple of the nonzero vector a, over the integers
-    (``p`` 0) or GF(p): every 2x2 minor against the first nonzero entry of a
-    vanishes."""
-    j = next(i for i, x in enumerate(a) if (x % p if p else x))
-    aj, bj = a[j], b[j]
-    if p:
-        return all((aj * y - bj * x) % p == 0 for x, y in zip(a, b))
-    return all(aj * y == bj * x for x, y in zip(a, b))
 
 
 def inverse(rows, p: int = 0) -> tuple:

@@ -510,12 +510,8 @@ def poly_str(f: Polynomial) -> str:
     fld = ring.field
     pieces = []
     for i, (m, c) in enumerate(f.sorted_terms()):
-        if isinstance(fld, RationalField):
-            negative = c < 0
-            mag = -c if negative else c
-        else:
-            negative = False
-            mag = c
+        negative = not fld.characteristic and c < 0
+        mag = -c if negative else c
         mono = ring.monomial_str(m)
         if mono == "1":
             body = fld.to_str(mag)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -114,13 +115,21 @@ class TestEnumeration:
         # (a*b - c*d, a^2 - b*c) has 36 circuits in degree 4
         ring = PolyRing(("a", "b", "c", "d"))
         I = IdealHandle(ring, [ring.parse("a*b - c*d"), ring.parse("a^2 - b*c")])
-        circ, truncated = circuits_of_space(graded_basis(I, 4))
+        W = graded_basis(I, 4)
+        # the search holds one path of nodes, not a level of independent sets
+        tracemalloc.start()
+        try:
+            circ, truncated = circuits_of_space(W)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
         assert not truncated
         assert len(circ) == 36
 
     def test_size_cap_keeps_the_small_circuits(self):
         rng = random.Random(46)
-        for fld in (QQ, PrimeField(32003)):
+        for fld in (QQ, PrimeField(32003), PrimeField(2)):
             for W in self.random_spaces(fld, rng, count=5):
                 if W.dim == 0:
                     continue

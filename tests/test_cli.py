@@ -189,6 +189,13 @@ class TestDeterminism:
         _, doc = run(capsys, ["gcs", ideal_file, "--trunc", "2"])
         assert doc["config"]["seed"] == 42
 
+    def test_env_seed_not_an_integer(self, capsys, ideal_file, monkeypatch):
+        monkeypatch.setenv("CIRCUITFAN_SEED", "abc")
+        code, doc = run(capsys, ["--no-timestamp", "hf", ideal_file])
+        assert code == 1
+        assert doc["error"]["kind"] == "ValueError"
+        assert "CIRCUITFAN_SEED" in doc["error"]["reason"]
+
     def test_explicit_seed_wins(self, capsys, ideal_file, monkeypatch):
         monkeypatch.setenv("CIRCUITFAN_SEED", "42")
         _, doc = run(capsys, ["gcs", ideal_file, "--trunc", "2", "--seed", "7"])
