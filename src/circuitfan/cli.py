@@ -1,8 +1,8 @@
 """Command-line front end: parse ideal files, dispatch operations, emit JSON.
 
-Exit codes: 0 success, 1 malformed input or an unwritable --output (the
-document then goes to stdout), 2 honest certification failures (uncertified
-genericity, lex-segment cap, truncated enumeration).
+Exit codes: 0 success, 1 malformed input, malformed argv or an unwritable
+--output (the document then goes to stdout), 2 honest certification failures
+(uncertified genericity, lex-segment cap, truncated enumeration).
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from .groebner import (
 )
 from .linalg import graded_basis
 from .order import parse_order
-from .ring import field_from_spec, parse_weight, poly_str, PolyRing
+from .ring import field_from_spec, parse_weight, poly_str, Polynomial, PolyRing
 from .groebner import IdealHandle
 
 SEED_ENV = "CIRCUITFAN_SEED"
@@ -75,11 +75,22 @@ def _resolve_seed(args) -> int:
         raise ValueError(f"{SEED_ENV} must be an integer, not {env!r}") from None
 
 
+class ArgumentError(ValueError):
+    """Malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse's own error exits 2, the code of a failed certification
+    def error(self, message):
+        raise ArgumentError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by later ones
-    (parse_args keeps no state between calls)."""
-    p = argparse.ArgumentParser(
+    (parse_args keeps no state between calls).  Subcommand parsers share its
+    class, so every argv error raises ArgumentError."""
+    p = _Parser(
         prog="circuitfan",
         description="Exact circuits sets, weight initial ideals and Groebner-fan "
         "cells for homogeneous ideals.",
@@ -161,6 +172,18 @@ def _weight(args, ring) -> tuple:
     return w
 
 
+def _renamed(ideal: IdealHandle, perm) -> IdealHandle:
+    """The ideal in the ring whose variable i is variable perm[i] of the
+    ideal's ring: exponents move with their names."""
+    ring = ideal.ring
+    new = PolyRing(tuple(ring.names[i] for i in perm), ring.field)
+    gens = [
+        Polynomial(new, {tuple(m[i] for i in perm): c for m, c in g.terms.items()})
+        for g in ideal.generators
+    ]
+    return IdealHandle(new, gens)
+
+
 def _dispatch(args, ring, ideal, seed):
     spec = RandomSpec(seed)
     cmd = args.command
@@ -189,7 +212,7 @@ def _dispatch(args, ring, ideal, seed):
         return EXIT_OK, doc
     if cmd == "alpha":
         w, perm, shift = normalize_weight(_weight(args, ring))
-        W = graded_basis(ideal, args.degree)
+        W = graded_basis(_renamed(ideal, perm), args.degree)
         av = alpha_vector(W, w)
         return EXIT_OK, {
             "degree": args.degree,
@@ -218,7 +241,7 @@ def _dispatch(args, ring, ideal, seed):
     if cmd == "stab":
         w, perm, shift = normalize_weight(_weight(args, ring))
         report = stab_check(
-            ideal,
+            _renamed(ideal, perm),
             w,
             spec,
             g_trials=args.gtrials,
@@ -271,8 +294,12 @@ def _dispatch(args, ring, ideal, seed):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ArgumentError as e:
+        # nothing was parsed: no config, and no --output to write to
+        print(json.dumps({"error": {"kind": type(e).__name__, "reason": str(e)}}, indent=2))
+        return EXIT_BAD_INPUT
     config = {k: v for k, v in sorted(vars(args).items()) if k != "output"}
     document = {"config": config}
     if not args.no_timestamp:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .circuits import circuits_truncated
@@ -25,7 +26,8 @@ from .ring import (
 
 
 class FanConsistencyError(RuntimeError):
-    """A sampled weight escaped the cone recorded for its own cell."""
+    """Sampled weights contradict the recorded cells: two cones share an
+    initial ideal, or a weight is not interior to its own cone."""
 
 
 def _primitive(v):
@@ -60,15 +62,17 @@ class Cone:
         return Cone(tuple(eqs), tuple(ins))
 
     def contains(self, w, strict: bool = False) -> bool:
-        w = make_weight(w)
+        """Whether w, with int or Fraction entries, lies in the cone, or with
+        ``strict`` in its relative interior.  Denominators are not cleared: a
+        positive scale of w changes no sign of v . w."""
         vectors = self.equalities or self.inequalities
         if vectors and len(vectors[0]) != len(w):
             raise ValueError(f"weight of length {len(w)} for a cone in {len(vectors[0])} variables")
         for v in self.equalities:
-            if sum(a * b for a, b in zip(v, w)) != 0:
+            if sum(map(operator.mul, v, w)):
                 return False
         for v in self.inequalities:
-            s = sum(a * b for a, b in zip(v, w))
+            s = sum(map(operator.mul, v, w))
             if s < 0 or (strict and s == 0):
                 return False
         return True
@@ -82,10 +86,13 @@ class Cone:
 
 @dataclass(frozen=True)
 class FanCell:
-    fingerprint: str
     rep_weight: tuple
     cone: Cone
     initial_basis: tuple  # canonical reduced basis of the weight initial ideal
+
+    @property
+    def fingerprint(self) -> str:
+        return " | ".join(self.initial_basis)
 
     @property
     def full_dimensional(self) -> bool:
@@ -119,19 +126,14 @@ class FanSketch:
 # cell tests
 
 
-def _initial_supports(I: IdealHandle, w, tie: MonomialOrder):
-    gb = I.groebner(weighted(w, tie=tie))
-    return [(g.support(), initial_support_w(g.support(), w)) for g in gb.elements]
-
-
 def weight_equiv(I: IdealHandle, w, w2, tie: MonomialOrder = DRL) -> bool:
-    """Two weights give the same initial ideal iff they select the same
-    initial supports on the weight-refined reduced basis."""
-    w, w2 = make_weight(w), make_weight(w2)
-    for supp, initial in _initial_supports(I, w, tie):
-        if initial_support_w(supp, w2) != initial:
-            return False
-    return True
+    """Two weights give the same initial ideal iff w2 lies in the relative
+    interior of the cone of w."""
+    w2 = make_weight(w2)
+    # a cone with no vectors, as of a monomial ideal, takes any length
+    if len(w2) != I.ring.n:
+        raise ValueError(f"weight of length {len(w2)} in {I.ring.n} variables")
+    return cone_of(I, w, tie).contains(w2, strict=True)
 
 
 def cone_of(I: IdealHandle, w, tie: MonomialOrder = DRL) -> Cone:
@@ -143,8 +145,9 @@ def cone_of(I: IdealHandle, w, tie: MonomialOrder = DRL) -> Cone:
     w = make_weight(w)
     eqs = []
     ins = []
-    for supp, initial in _initial_supports(I, w, tie):
-        initial = sorted(initial)
+    for g in I.groebner(weighted(w, tie=tie)).elements:
+        supp = g.support()
+        initial = sorted(initial_support_w(supp, w))
         rest = sorted(supp - frozenset(initial))
         for a, b in itertools.combinations(initial, 2):
             eqs.append(tuple(x - y for x, y in zip(a, b)))
@@ -156,8 +159,7 @@ def cone_of(I: IdealHandle, w, tie: MonomialOrder = DRL) -> Cone:
 
 def _fingerprint(I: IdealHandle, w, tie: MonomialOrder):
     Jw = initial_ideal_w(I, w, tie=tie)
-    gens = tuple(poly_str(g) for g in Jw.groebner(CANONICAL).elements)
-    return " | ".join(gens), gens
+    return tuple(poly_str(g) for g in Jw.groebner(CANONICAL).elements)
 
 
 # ---------------------------------------------------------------------------
@@ -184,26 +186,18 @@ def enumerate_fan(I: IdealHandle, B: int, step: int = 1, tie: MonomialOrder = DR
     cells = []
     seen = {}
     for w in _grid_representatives(I.ring.n, B, step):
-        matched = None
-        for cell in cells:
-            if cell.cone.contains(w, strict=True):
-                matched = cell
-                break
-        if matched is not None:
-            if not matched.cone.contains(w):
-                raise FanConsistencyError(f"weight {w} escaped its cone")
+        if any(cell.cone.contains(w, strict=True) for cell in cells):
             continue
-        fp, gens = _fingerprint(I, w, tie)
-        if fp in seen:
+        gens = _fingerprint(I, w, tie)
+        if gens in seen:
             raise FanConsistencyError(
-                f"weights {seen[fp]} and {w} share an initial ideal but not a cone"
+                f"weights {seen[gens]} and {w} share an initial ideal but not a cone"
             )
         cone = cone_of(I, w, tie)
         if not cone.contains(w, strict=True):
             raise FanConsistencyError(f"weight {w} is not interior to its own cone")
-        cell = FanCell(fp, tuple(w), cone, gens)
-        cells.append(cell)
-        seen[fp] = w
+        cells.append(FanCell(tuple(w), cone, gens))
+        seen[gens] = w
     cells.sort(key=lambda c: c.rep_weight, reverse=True)
     return FanSketch(tuple(cells), B, step)
 
@@ -236,13 +230,12 @@ def newton_fan_oracle(f: Polynomial, B: int = 4, step: int = 1) -> FanSketch:
         ins = [
             tuple(x - y for x, y in zip(a, c)) for a in argmax for c in rest
         ]
-        # fingerprint matching the sampler's: the monic initial form is the
-        # canonical reduced basis of the initial ideal of a principal ideal
+        # the monic initial form is the canonical reduced basis of the
+        # initial ideal of a principal ideal, as the sampler records it
         form = Polynomial(f.ring, {m: f.terms[m] for m in argmax})
         _, lc = leading_term(form, CANONICAL)
         monic = form.scale(fld.invert(lc))
-        fp = poly_str(monic)
-        cells.append(FanCell(fp, tuple(w), Cone.build(eqs, ins), (fp,)))
+        cells.append(FanCell(tuple(w), Cone.build(eqs, ins), (poly_str(monic),)))
     cells.sort(key=lambda c: c.rep_weight, reverse=True)
     return FanSketch(tuple(cells), B, step)
 

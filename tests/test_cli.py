@@ -6,11 +6,14 @@ from pathlib import Path
 import pytest
 
 import circuitfan
+from circuitfan import PolyRing
 from circuitfan.cli import build_parser, main
 
 
 IDEAL = "ring: Q; vars: x,y\ngens:\nx^2 + x*y + y^2\n"
 PAIR = "ring: Q; vars: x,y\ngens:\nx^2 - y^2\nx*y\n"
+# not symmetric in x and y, so a weight applied to the wrong variable shows
+ASYM = "ring: Q; vars: x,y\ngens:\nx^2 + x*y\n"
 
 
 @pytest.fixture
@@ -162,6 +165,29 @@ class TestBasics:
         )
         assert code == 0
         assert doc["verdict"] == "EQUAL-FAN-CERTIFIED"
+
+
+class TestUnsortedWeight:
+    # alpha and stab sort the weight; the variables must move with it
+    def test_alpha_renames_variables(self, capsys, tmp_path):
+        path, swapped = tmp_path / "A.ideal", tmp_path / "B.ideal"
+        path.write_text(ASYM)
+        swapped.write_text(ASYM.replace("vars: x,y", "vars: y,x"))
+        _, doc = run(capsys, ["alpha", str(path), "--weight", "0,1", "--degree", "2"])
+        _, ref = run(capsys, ["alpha", str(swapped), "--weight", "1,0", "--degree", "2"])
+        assert doc["permutation"] == [1, 0]
+        assert doc["alpha"] == ref["alpha"] == [0, 1]
+
+    def test_stab_renames_variables(self, capsys, tmp_path):
+        path = tmp_path / "A.ideal"
+        path.write_text(ASYM)
+        argv = ["--weight", "0,1", "--identity-g", "--gtrials", "1", "--btrials", "1"]
+        _, doc = run(capsys, ["stab", str(path), *argv])
+        _, ref = run(capsys, ["inw", str(path), "--weight", "0,1"])
+        # the report prints in the renamed ring (y*x); read it in x,y
+        R = PolyRing(("x", "y"))
+        got = [R.parse(g) for g in doc["trials"][0]["initial_ideal"]]
+        assert got == [R.parse(g) for g in ref["initial_ideal"]] == [R.parse("x*y")]
 
 
 class TestRoundTrip:
@@ -394,6 +420,28 @@ class TestExitCodes:
         assert code == 1
         assert "weight" not in doc
         assert "1 entries for 3 variables" in doc["error"]["reason"]
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["circuits", "{}", "--trunc", "abc"], "invalid int value: 'abc'"),
+            (["circuits", "{}"], "required: --trunc"),
+            (["bogus", "{}"], "invalid choice: 'bogus'"),
+        ],
+        ids=["bad-int", "missing-flag", "unknown-command"],
+    )
+    def test_malformed_argv_exit_1(self, capsys, ideal_file, argv, reason):
+        code, doc = run(capsys, [a.format(ideal_file) for a in argv])
+        assert code == 1
+        assert doc["error"]["kind"] == "ArgumentError"
+        assert reason in doc["error"]["reason"]
+        assert list(doc) == ["error"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: circuitfan" in capsys.readouterr().out
 
     def test_packed_overflow_exit_1(self, capsys, pair_file, monkeypatch):
         # no headroom: degree-2 generators then fit degree 3, and the lex

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -37,13 +38,22 @@ class TestWeightEquiv:
 
     def test_matches_ideal_equality(self, suite, suite_rng):
         rng = suite_rng
+        outcomes = set()
         for I in suite[:6]:
             n = I.ring.n
             w = tuple(rng.randint(-3, 3) for _ in range(n))
-            w2 = tuple(rng.randint(-3, 3) for _ in range(n))
-            assert weight_equiv(I, w, w2) == ideal_equal(
-                initial_ideal_w(I, w), initial_ideal_w(I, w2)
-            )
+            # a random pair is almost never equivalent; 2w + 3*(1,...,1) always is
+            for w2 in (tuple(rng.randint(-3, 3) for _ in range(n)), tuple(2 * x + 3 for x in w)):
+                equiv = weight_equiv(I, w, w2)
+                assert equiv == ideal_equal(initial_ideal_w(I, w), initial_ideal_w(I, w2))
+                outcomes.add(equiv)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("gen", ["x*y", "x^2 + y^2"])
+    def test_rejects_wrong_length(self, R, gen):
+        I = IdealHandle(R, [R.parse(gen)])
+        with pytest.raises(ValueError):
+            weight_equiv(I, (1, 2), (1, 2, 3))
 
     def test_reflexive_and_shift_invariant(self, suite):
         for I in suite[:5]:
@@ -91,6 +101,11 @@ class TestConeOf:
         # a cone with no vectors constrains no weight of any length
         assert Cone.build([], []).contains((5, 1))
 
+    def test_fraction_weight_strict(self):
+        # v . w = 1/2: strictly inside, though below 1
+        assert Cone.build([], [(1, -1)]).contains((Fraction(3, 2), 1), strict=True)
+        assert not Cone.build([], [(1, -1)]).contains((Fraction(1, 2), 1))
+
     def test_build_canonicalizes(self):
         cone = Cone.build([(2, -2), (-1, 1)], [(4, 2), (2, 1)])
         assert cone.equalities == ((1, -1),)
@@ -129,12 +144,16 @@ class TestEnumerateFan:
                 by_fp = {c.fingerprint: c for c in want.cells}
                 for c in got.cells:
                     assert c.cone == by_fp[c.fingerprint].cone
+                for c in got.cells + want.cells:
+                    assert c.fingerprint == " | ".join(c.initial_basis)
 
     def test_tie_order_irrelevant(self, R):
         I = IdealHandle(R, [R.parse("x^2 - y^2"), R.parse("x*y")])
         a = enumerate_fan(I, 3, tie=DRL)
         b = enumerate_fan(I, 3, tie=LEX)
         assert {c.fingerprint for c in a.cells} == {c.fingerprint for c in b.cells}
+        for c in a.cells:
+            assert c.fingerprint == " | ".join(c.initial_basis)
 
     def test_bad_box(self, R):
         I = IdealHandle(R, [R.parse("x")])
