@@ -12,13 +12,12 @@ from .generic import RandomSpec, gcs_truncated
 from .groebner import (
     IdealHandle,
     hilbert_function,
-    initial_ideal_w,
+    initial_forms_ideal,
     lex_bound,
 )
 from .order import CANONICAL, DRL, MonomialOrder, leading_term, weighted
 from .ring import (
     Polynomial,
-    initial_support_w,
     make_weight,
     poly_str,
     weight_value,
@@ -142,24 +141,44 @@ def cone_of(I: IdealHandle, w, tie: MonomialOrder = DRL) -> Cone:
     For each reduced-basis element: equalities between tied maximal exponent
     vectors, weak inequalities from maximal against non-maximal ones.
     """
-    w = make_weight(w)
+    return _cell(I, w, tie)[1]
+
+
+def _cell(I: IdealHandle, w, tie: MonomialOrder):
+    """(initial forms, cone) at w, from one walk over the weight-refined
+    reduced basis: each element splits once into its terms of maximal weight,
+    which make its initial form, and the rest.  The forms are sorted by the tie
+    key of their leading monomials, so they are the tie-reduced basis of the
+    weight initial ideal."""
+    order = weighted(w, tie=tie)
+    w = order.weight
+    ring = I.ring
     eqs = []
     ins = []
-    for g in I.groebner(weighted(w, tie=tie)).elements:
-        supp = g.support()
-        initial = sorted(initial_support_w(supp, w))
-        rest = sorted(supp - frozenset(initial))
+    forms = []
+    # the basis lookup has checked the weight's length
+    for g in I.groebner(order).elements:
+        vals = {m: sum(map(operator.mul, m, w)) for m in g.terms}
+        top = max(vals.values())
+        initial = [m for m, v in vals.items() if v == top]
+        rest = [m for m, v in vals.items() if v != top]
         for a, b in itertools.combinations(initial, 2):
-            eqs.append(tuple(x - y for x, y in zip(a, b)))
+            eqs.append(tuple(map(operator.sub, a, b)))
         for a in initial:
             for c in rest:
-                ins.append(tuple(x - y for x, y in zip(a, c)))
-    return Cone.build(eqs, ins)
+                ins.append(tuple(map(operator.sub, a, c)))
+        form = Polynomial(ring, {m: g.terms[m] for m in initial})
+        forms.append((max(map(tie.key, initial)), form))
+    forms.sort(key=lambda p: p[0])
+    return [f for _, f in forms], Cone.build(eqs, ins)
 
 
-def _fingerprint(I: IdealHandle, w, tie: MonomialOrder):
-    Jw = initial_ideal_w(I, w, tie=tie)
-    return tuple(poly_str(g) for g in Jw.groebner(CANONICAL).elements)
+def _fingerprint(ring, forms, tie: MonomialOrder) -> tuple:
+    """The canonical reduced basis of the ideal of the forms that _cell
+    returns, as strings; for the canonical tie it is the forms themselves."""
+    if tie != CANONICAL:
+        forms = initial_forms_ideal(ring, forms, tie).groebner(CANONICAL).elements
+    return tuple(poly_str(g) for g in forms)
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +202,28 @@ def enumerate_fan(I: IdealHandle, B: int, step: int = 1, tie: MonomialOrder = DR
     """
     if B < 1 or step < 1:
         raise ValueError("box bound and step must be positive")
+    # most recently matched or opened first: neighbouring grid weights mostly
+    # share a cell, and relative interiors of distinct cells are disjoint, so
+    # the order of the scan changes no match
     cells = []
     seen = {}
     for w in _grid_representatives(I.ring.n, B, step):
-        if any(cell.cone.contains(w, strict=True) for cell in cells):
-            continue
-        gens = _fingerprint(I, w, tie)
-        if gens in seen:
-            raise FanConsistencyError(
-                f"weights {seen[gens]} and {w} share an initial ideal but not a cone"
-            )
-        cone = cone_of(I, w, tie)
-        if not cone.contains(w, strict=True):
-            raise FanConsistencyError(f"weight {w} is not interior to its own cone")
-        cells.append(FanCell(tuple(w), cone, gens))
-        seen[gens] = w
+        for i, cell in enumerate(cells):
+            if cell.cone.contains(w, strict=True):
+                if i:
+                    cells.insert(0, cells.pop(i))
+                break
+        else:
+            forms, cone = _cell(I, w, tie)
+            gens = _fingerprint(I.ring, forms, tie)
+            if gens in seen:
+                raise FanConsistencyError(
+                    f"weights {seen[gens]} and {w} share an initial ideal but not a cone"
+                )
+            if not cone.contains(w, strict=True):
+                raise FanConsistencyError(f"weight {w} is not interior to its own cone")
+            cells.insert(0, FanCell(tuple(w), cone, gens))
+            seen[gens] = w
     cells.sort(key=lambda c: c.rep_weight, reverse=True)
     return FanSketch(tuple(cells), B, step)
 

@@ -40,8 +40,35 @@ class GroebnerBasis:
     order: MonomialOrder
     elements: tuple  # monic polynomials, canonically sorted
 
+    def __post_init__(self):
+        # (kernel, divisors) that normal_form packed last; not a dataclass
+        # field, so equality and hashing are untouched
+        object.__setattr__(self, "_divisors", None)
+
     def leading_monomials(self) -> list:
         return [leading_monomial(g, self.order) for g in self.elements]
+
+
+def _favours(order: MonomialOrder, diffs, n: int) -> bool:
+    """Whether the order puts m above t for every (d, m, t) with d = m - t.
+
+    A weight order decides by the sign of w . d and asks its tie only where
+    w . d = 0; lex and degrevlex compare their memoized keys.  A weight whose
+    length is not n raises ValueError."""
+    while order.kind == "weight":
+        w = order.weight
+        if len(w) != n:
+            raise ValueError(f"weight {w} has {len(w)} entries for {n} variables")
+        tied = []
+        for entry in diffs:
+            s = sum(map(operator.mul, w, entry[0]))
+            if s < 0:
+                return False
+            if not s:
+                tied.append(entry)
+        diffs, order = tied, order.tie
+    key = order.key
+    return all(key(m) > key(t) for _, m, t in diffs)
 
 
 class IdealHandle:
@@ -60,9 +87,9 @@ class IdealHandle:
         self.ring = ring
         self.generators = tuple(gens)
         self._cache = {}
-        # (elements, leading monomials under their own order) of each basis
-        # that was computed or seeded, recorded once when it is stored; a
-        # basis that _reuse returns has those of the one it came from
+        # [elements, leading monomials under their own order, differences] of
+        # each basis that was computed or seeded, recorded when it is stored;
+        # a basis that _reuse returns has those of the one it came from
         self._held = []
 
     def groebner(self, order: MonomialOrder = CANONICAL) -> GroebnerBasis:
@@ -75,15 +102,26 @@ class IdealHandle:
         return gb
 
     def _hold(self, gb: GroebnerBasis) -> GroebnerBasis:
-        self._held.append((gb.elements, tuple(gb.leading_monomials())))
+        self._held.append([gb.elements, tuple(gb.leading_monomials()), None])
         return gb
 
     def _reuse(self, order: MonomialOrder):
-        for elements, leads in self._held:
+        for held in self._held:
+            elements, leads, diffs = held
+            if diffs is None:
+                # (m - t, m, t) for every other term t of an element with
+                # leading monomial m; made on the first reuse test, so a handle
+                # that is never asked for another order pays nothing
+                diffs = held[2] = [
+                    (tuple(map(operator.sub, m, t)), m, t)
+                    for g, m in zip(elements, leads)
+                    for t in g.terms
+                    if t != m
+                ]
             # homogeneous ideal: unchanged leading monomials generate in_held(I),
             # which has the Hilbert function of in_order(I), so they generate
             # in_order(I) and the monic, reduced held basis is the reduced one
-            if all(leading_monomial(g, order) == m for g, m in zip(elements, leads)):
+            if _favours(order, diffs, self.ring.n):
                 ranked = sorted(zip(leads, elements), key=lambda p: order.key(p[0]))
                 return GroebnerBasis(order, tuple(g for _, g in ranked))
         return None
@@ -146,8 +184,8 @@ class _Kernel:
         # over GF(p), coefficients are reduced mod p only when read
         self.modulus = fld.characteristic
         n = ring.n
-        bits = max(degree, 1).bit_length() + _HEADROOM_BITS
-        self.limit = limit = (1 << bits) - 1
+        self.limit = limit = self.limit_for(degree)
+        bits = limit.bit_length()
         self.shifts = tuple(j * (bits + 1) for j in range(n))
         self.guard = sum(1 << (s + bits) for s in self.shifts)
         # key(m) = sum of row(m) << (field of the row), first row on top.  A
@@ -158,6 +196,11 @@ class _Kernel:
         width = max(limit * sum(map(abs, r)) for r in rows).bit_length()
         tops = [width * i for i in reversed(range(len(rows)))]
         self.var_keys = tuple(sum(r[j] << t for r, t in zip(rows, tops)) for j in range(n))
+
+    @staticmethod
+    def limit_for(degree: int) -> int:
+        """The largest exponent that fits a kernel sized for the degree."""
+        return (1 << (max(degree, 1).bit_length() + _HEADROOM_BITS)) - 1
 
     def key(self, m) -> int:
         return sum(map(operator.mul, m, self.var_keys))
@@ -280,8 +323,14 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of f on division by G; no remainder monomial is divisible by
     a leading monomial of G."""
     degree = max((sum(m) for g in (f, *G.elements) for m in g.terms), default=0)
-    K = _Kernel(G.order, f.ring, degree)
-    reducers = [K.reducer(K.normalized(K.pack(g))) for g in G.elements]
+    # G's divisors are packed once, and kept on G for every f that needs a
+    # kernel of the same ring and width
+    cached = G._divisors
+    if cached is None or cached[0].limit != _Kernel.limit_for(degree) or cached[0].ring != f.ring:
+        K = _Kernel(G.order, f.ring, degree)
+        cached = K, [K.reducer(K.normalized(K.pack(g))) for g in G.elements]
+        object.__setattr__(G, "_divisors", cached)
+    K, reducers = cached
     # over Q, d*f has int coefficients (over GF(p) d is 1)
     terms = K.pack(f)
     d = math.lcm(*(c.denominator for _, _, c in terms))
@@ -400,11 +449,18 @@ def initial_ideal_w(I: IdealHandle, w, tie: MonomialOrder = DRL) -> IdealHandle:
     w = make_weight(w)
     gb = I.groebner(weighted(w, tie=tie))
     forms = [initial_form_w(g, w) for g in gb.elements]
-    J = IdealHandle(I.ring, forms)
-    # the initial forms of the weight-refined reduced basis are a tie-Groebner
-    # basis of in_w(I); each keeps its element's leading term and a subset of
-    # its tail, so they are monic and reduced: the tie-reduced basis
     forms.sort(key=lambda g: tie.key(leading_monomial(g, tie)))
+    return initial_forms_ideal(I.ring, forms, tie)
+
+
+def initial_forms_ideal(ring: PolyRing, forms, tie: MonomialOrder) -> IdealHandle:
+    """Ideal of the initial forms of a weight-refined reduced basis, given
+    sorted by the tie key of their leading monomials, holding them as its
+    tie-reduced basis.
+
+    The forms are a tie-Groebner basis of in_w(I); each keeps its element's
+    leading term and a subset of its tail, so they are monic and reduced."""
+    J = IdealHandle(ring, forms)
     J._cache[tie] = J._hold(GroebnerBasis(tie, tuple(forms)))
     return J
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from circuitfan import IdealHandle, PolyRing, Polynomial
-from circuitfan.ring import monomials_of_degree
+from circuitfan.ring import monomials_of_degree, poly_str
 
 SUITE_SEED = 2024
 VARS = ("x", "y", "z")
@@ -21,6 +21,14 @@ def random_homogeneous(ring, degree, rng, density=0.7, bound=3):
                     terms[m] = ring.field.from_int(c)
         if terms:
             return Polynomial(ring, terms)
+
+
+def over(field, I):
+    """The ideal's generators in the same variables over the given field."""
+    if field == I.ring.field:
+        return I
+    ring = PolyRing(I.ring.names, field)
+    return IdealHandle(ring, [ring.parse(poly_str(g)) for g in I.generators])
 
 
 def make_suite(count=20, seed=SUITE_SEED):

@@ -1,14 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from circuitfan import (
+    CANONICAL,
     DRL,
     LEX,
     IdealHandle,
     PolyRing,
     RandomSpec,
+    buchberger_reduced,
     cone_of,
     enumerate_fan,
     generic_fan_compare,
@@ -17,11 +20,12 @@ from circuitfan import (
     newton_fan_oracle,
     universal_basis,
     weight_equiv,
+    weighted,
 )
 from circuitfan.fan import Cone, FanConsistencyError
-from circuitfan.ring import poly_str
+from circuitfan.ring import QQ, PrimeField, initial_form_w, initial_support_w, poly_str
 
-from conftest import random_homogeneous
+from conftest import over, random_homogeneous
 
 
 @pytest.fixture
@@ -154,6 +158,35 @@ class TestEnumerateFan:
         assert {c.fingerprint for c in a.cells} == {c.fingerprint for c in b.cells}
         for c in a.cells:
             assert c.fingerprint == " | ".join(c.initial_basis)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "GF32003"])
+    def test_cells_match_cold_bases(self, suite, field):
+        # one warm handle per ideal serves both ties; every cell is rebuilt
+        # from Buchberger runs on fresh handles
+        for I in suite[1::2]:
+            I = over(field, I)
+            I = IdealHandle(I.ring, I.generators)
+            for tie in (DRL, LEX):
+                for cell in enumerate_fan(I, 2, tie=tie).cells:
+                    w = cell.rep_weight
+                    cold = IdealHandle(I.ring, I.generators)
+                    basis = buchberger_reduced(cold, weighted(w, tie)).elements
+                    forms = IdealHandle(I.ring, [initial_form_w(g, w) for g in basis])
+                    want = buchberger_reduced(forms, CANONICAL).elements
+                    assert cell.initial_basis == tuple(poly_str(g) for g in want), (I, tie, w)
+                    eqs, ins = [], []
+                    for g in basis:
+                        top = initial_support_w(g.support(), w)
+                        eqs += [
+                            tuple(x - y for x, y in zip(a, b))
+                            for a, b in itertools.combinations(sorted(top), 2)
+                        ]
+                        ins += [
+                            tuple(x - y for x, y in zip(a, c))
+                            for a in top
+                            for c in g.support() - top
+                        ]
+                    assert cell.cone == Cone.build(eqs, ins), (I, tie, w)
 
     def test_bad_box(self, R):
         I = IdealHandle(R, [R.parse("x")])

@@ -39,7 +39,7 @@ from circuitfan.groebner import (
 from circuitfan.order import leading_monomial, leading_term
 from circuitfan.ring import QQ, PrimeField, Polynomial, mono_div, mono_divides, mono_mul, poly_str
 
-from conftest import VARS, make_suite, random_homogeneous
+from conftest import VARS, make_suite, over, random_homogeneous
 
 
 @pytest.fixture
@@ -48,14 +48,6 @@ def R():
 
 
 GF = PrimeField(32003)
-
-
-def over(field, I):
-    """The ideal's generators in the same variables over the given field."""
-    if field == I.ring.field:
-        return I
-    ring = PolyRing(I.ring.names, field)
-    return IdealHandle(ring, [ring.parse(poly_str(g)) for g in I.generators])
 
 
 def reference_normal_form(f, G, reentered=None):
@@ -189,6 +181,20 @@ class TestNormalForm:
                 assert K.unpack(r, scale) == reference_normal_form(f, G)
                 scales.add(scale)
             assert scales != {1}
+
+    def test_divisors_packed_once_per_width(self, R):
+        G = IdealHandle(R, [R.parse("x^2 - y^2"), R.parse("x*y")]).groebner(DRL)
+        assert normal_form(R.parse("x^3"), G) == reference_normal_form(R.parse("x^3"), G)
+        packed = G._divisors
+        assert normal_form(R.parse("x^2*y"), G).is_zero()
+        assert G._divisors is packed
+        # degree 40 needs a wider kernel: G is packed again, and the
+        # narrower f after it again
+        f = R.parse("x^40 + x*y^39")
+        assert normal_form(f, G) == reference_normal_form(f, G)
+        assert G._divisors is not packed
+        assert normal_form(R.parse("x^3"), G) == reference_normal_form(R.parse("x^3"), G)
+        assert G._divisors[0].limit == packed[0].limit
 
     def test_cancelled_term_reenters(self, R):
         # x*y^2 brings in y^4; x*y cancels y^3; y^4 brings y^3 back
@@ -515,6 +521,31 @@ class TestBasisCache:
         gb = I.groebner(weighted((0, 1)))
         assert gb.elements == (R.parse("y^2 - x^2"),)
         assert leading_term(gb.elements[0], gb.order) == ((0, 2), 1)
+
+    @pytest.mark.parametrize("warm, tie", [(LEX, DRL), (DRL, LEX)])
+    def test_tie_decides_where_the_weight_ties(self, warm, tie):
+        # the weight (1, 1, 1) gives both terms of x*z - y^2 the same value,
+        # so the tie picks the leading monomial: x*z under lex, y^2 under drl
+        ring = PolyRing(VARS)
+        I = IdealHandle(ring, [ring.parse("x*z - y^2")])
+        I.groebner(warm)
+        order = weighted((1, 1, 1), tie)
+        assert I.groebner(order).elements == buchberger_reduced(fresh(I), order).elements
+        assert I.groebner(order).elements == I.groebner(tie).elements != I.groebner(warm).elements
+
+    def test_tied_weight_reuses_the_tie_basis(self, buchberger_calls):
+        ring = PolyRing(VARS)
+        I = IdealHandle(ring, [ring.parse("x*z - y^2")])
+        I.groebner(DRL)
+        assert I.groebner(weighted((1, 1, 1), DRL)).elements == (ring.parse("y^2 - x*z"),)
+        assert buchberger_calls == [DRL]
+
+    def test_warm_handle_rejects_wrong_weight_length(self):
+        ring = PolyRing(VARS)
+        I = IdealHandle(ring, [ring.parse("x*z - y^2")])
+        I.groebner(DRL)
+        with pytest.raises(ValueError):
+            I.groebner(weighted((1, 1), DRL))
 
     def test_initial_ideal_costs_one_buchberger_run(self, R, buchberger_calls):
         I = IdealHandle(R, [R.parse("x^2 + x*y + y^2"), R.parse("x*y^2 - y^3")])
