@@ -50,18 +50,20 @@ class CircuitsSet:
     def to_json(self, ring) -> list:
         out = []
         for d, circ in self.by_degree:
-            # circuits share monomials: key and format each one once
-            keys = {m: canonical_key(m) for c in circ for m in c}
-            names = {m: ring.monomial_str(m) for m in keys}
+            # circuits share monomials: rank and format each one once.  Ranks
+            # keep the canonical order, so comparing the descending rank
+            # tuples compares the circuits' descending key lists
+            monos = sorted({m for c in circ for m in c}, key=canonical_key)
+            rank = {m: i for i, m in enumerate(monos)}
+            names = [ring.monomial_str(m) for m in monos]
             sets = sorted(
-                (sorted(c, key=keys.__getitem__, reverse=True) for c in circ),
-                key=lambda ms: [keys[m] for m in ms],
+                (tuple(sorted(map(rank.__getitem__, c), reverse=True)) for c in circ),
                 reverse=True,
             )
             out.append(
                 {
                     "degree": d,
-                    "circuits": [[names[m] for m in c] for c in sets],
+                    "circuits": [[names[i] for i in c] for c in sets],
                 }
             )
         return out

@@ -293,12 +293,68 @@ def _dispatch(args, ring, ideal, seed):
     raise ValueError(f"unknown command {cmd!r}")
 
 
+_escape = json.encoder.encode_basestring_ascii
+_int_text = int.__repr__
+
+
+def dumps(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2)``.  That call always runs the
+    pure-Python encoder, since the C one cannot indent before Python 3.12;
+    here strings go through the C escaper and plain ints through
+    ``int.__repr__``, and anything else (bool, None, float, an empty
+    container, a dict with a key that is not a str) goes to ``json.dumps``
+    itself."""
+    out = []
+    _emit(doc, "\n", out)
+    return "".join(out)
+
+
+def _emit(x, nl, out):
+    t = type(x)
+    if t is str:
+        out.append(_escape(x))
+    elif t is int:
+        out.append(_int_text(x))
+    elif (t is list or t is tuple) and x:
+        inner = nl + "  "
+        first = type(x[0])
+        if first is str:
+            # the escaper raises TypeError on the first item that is no str
+            try:
+                out.append(f"[{inner}{(',' + inner).join(map(_escape, x))}{nl}]")
+                return
+            except TypeError:
+                pass
+        # type(True) is bool, so bools stay off the int path
+        elif first is int and all(type(v) is int for v in x):
+            out.append(f"[{inner}{(',' + inner).join(map(_int_text, x))}{nl}]")
+            return
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict and x and all(type(k) is str for k in x):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            out.append(f"{sep}{_escape(k)}: ")
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        # escaped strings hold no raw newline, so indenting every line break
+        # places json's own text at this depth
+        out.append(json.dumps(x, indent=2).replace("\n", nl))
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except ArgumentError as e:
         # nothing was parsed: no config, and no --output to write to
-        print(json.dumps({"error": {"kind": type(e).__name__, "reason": str(e)}}, indent=2))
+        print(dumps({"error": {"kind": type(e).__name__, "reason": str(e)}}))
         return EXIT_BAD_INPUT
     config = {k: v for k, v in sorted(vars(args).items()) if k != "output"}
     document = {"config": config}
@@ -317,7 +373,7 @@ def main(argv=None) -> int:
         # an arithmetic error that gets past the parsers still ends in a document
         code = EXIT_BAD_INPUT
         document["error"] = {"kind": type(e).__name__, "reason": str(e)}
-    text = json.dumps(document, indent=2)
+    text = dumps(document)
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -327,7 +383,7 @@ def main(argv=None) -> int:
             # the document goes to stdout instead; this error replaces any other
             code = EXIT_BAD_INPUT
             document["error"] = {"kind": type(e).__name__, "reason": str(e)}
-            text = json.dumps(document, indent=2)
+            text = dumps(document)
     print(text)
     return code
 

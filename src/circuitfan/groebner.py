@@ -41,12 +41,20 @@ class GroebnerBasis:
     elements: tuple  # monic polynomials, canonically sorted
 
     def __post_init__(self):
-        # (kernel, divisors) that normal_form packed last; not a dataclass
-        # field, so equality and hashing are untouched
+        # (kernel, divisors) that normal_form packed last, and the elements'
+        # leading monomials where whoever built the basis knew them; not
+        # dataclass fields, so equality and hashing are untouched
         object.__setattr__(self, "_divisors", None)
+        object.__setattr__(self, "_leads", None)
 
     def leading_monomials(self) -> list:
+        if self._leads is not None:
+            return list(self._leads)
         return [leading_monomial(g, self.order) for g in self.elements]
+
+    def _with_leads(self, leads) -> "GroebnerBasis":
+        object.__setattr__(self, "_leads", tuple(leads))
+        return self
 
 
 def _favours(order: MonomialOrder, diffs, n: int) -> bool:
@@ -123,7 +131,8 @@ class IdealHandle:
             # in_order(I) and the monic, reduced held basis is the reduced one
             if _favours(order, diffs, self.ring.n):
                 ranked = sorted(zip(leads, elements), key=lambda p: order.key(p[0]))
-                return GroebnerBasis(order, tuple(g for _, g in ranked))
+                gb = GroebnerBasis(order, tuple(g for _, g in ranked))
+                return gb._with_leads(m for m, _ in ranked)
         return None
 
     def is_zero(self) -> bool:
@@ -429,7 +438,8 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
                 changed = True
 
     final.sort(key=lambda f: f[0][0])
-    return GroebnerBasis(order, tuple(K.unpack(f, f[0][2]) for f in final))
+    gb = GroebnerBasis(order, tuple(K.unpack(f, f[0][2]) for f in final))
+    return gb._with_leads(K.monomial(f[0][1]) for f in final)
 
 
 # ---------------------------------------------------------------------------

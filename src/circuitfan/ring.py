@@ -508,17 +508,24 @@ def poly_str(f: Polynomial) -> str:
         return "0"
     ring = f.ring
     fld = ring.field
+    rational = not fld.characteristic
     pieces = []
     for i, (m, c) in enumerate(f.sorted_terms()):
-        negative = not fld.characteristic and c < 0
-        mag = -c if negative else c
+        if rational:
+            # the Fraction's parts: no Fraction arithmetic or comparison
+            num, den = c.numerator, c.denominator
+            negative = num < 0
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+            unit = mag == "1"
+        else:
+            negative, mag, unit = False, fld.to_str(c), c == 1
         mono = ring.monomial_str(m)
         if mono == "1":
-            body = fld.to_str(mag)
-        elif mag == fld.one:
+            body = mag
+        elif unit:
             body = mono
         else:
-            body = f"{fld.to_str(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if i == 0:
             pieces.append(("-" if negative else "") + body)
         else:

@@ -1,10 +1,11 @@
 """Independent test oracles: textbook Gauss-Jordan elimination over a field
-object, and brute-force circuit enumeration straight from the rank
-criterion, with no pruning and no quotient-space shortcut."""
+object, brute-force circuit enumeration straight from the rank criterion,
+with no pruning and no quotient-space shortcut, and the plain formatting of
+circuits sets and polynomials, by key lists and field operations."""
 import itertools
 
 from circuitfan.linalg import GradedMatrix, rank_rel
-from circuitfan.ring import monomials_of_degree
+from circuitfan.ring import canonical_key, monomials_of_degree
 
 
 def rref_reference(rows, fld):
@@ -64,3 +65,43 @@ def circuits_bruteforce(W: GradedMatrix) -> frozenset:
         if len(s) == 1 or all(not dependent[s - {m}] for m in s):
             circuits.add(s)
     return frozenset(circuits)
+
+
+def circuits_json_reference(cs, ring) -> list:
+    """``CircuitsSet.to_json`` by key lists: each circuit's monomials by
+    descending canonical key, and the circuits by their key lists,
+    descending."""
+    out = []
+    for d, circ in cs.by_degree:
+        sets = sorted(
+            (sorted(c, key=canonical_key, reverse=True) for c in circ),
+            key=lambda ms: [canonical_key(m) for m in ms],
+            reverse=True,
+        )
+        out.append({"degree": d, "circuits": [[ring.monomial_str(m) for m in c] for c in sets]})
+    return out
+
+
+def poly_str_reference(f) -> str:
+    """``poly_str`` by field operations: the sign by comparison over Q, the
+    magnitude by negation, a unit by equality with one."""
+    if f.is_zero():
+        return "0"
+    ring = f.ring
+    fld = ring.field
+    pieces = []
+    for i, (m, c) in enumerate(f.sorted_terms()):
+        negative = not fld.characteristic and c < 0
+        mag = -c if negative else c
+        mono = ring.monomial_str(m)
+        if mono == "1":
+            body = fld.to_str(mag)
+        elif mag == fld.one:
+            body = mono
+        else:
+            body = f"{fld.to_str(mag)}*{mono}"
+        if i == 0:
+            pieces.append(("-" if negative else "") + body)
+        else:
+            pieces.append(("- " if negative else "+ ") + body)
+    return " ".join(pieces)

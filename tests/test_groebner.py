@@ -499,8 +499,10 @@ class TestBasisCache:
             # from the fourth order on, the cache holds at least three bases
             for order in random_orders(rng, I.ring.n, 8):
                 misses += order not in I._cache
-                got = I.groebner(order).elements
-                assert got == buchberger_reduced(fresh(I), order).elements, (I, order)
+                gb = I.groebner(order)
+                assert gb.elements == buchberger_reduced(fresh(I), order).elements, (I, order)
+                # the leading monomials that Buchberger or the reuse test recorded
+                assert gb._leads == tuple(leading_monomial(g, order) for g in gb.elements)
         # some misses were answered without Buchberger, so the shortcut ran
         assert len(buchberger_calls) < misses
 
