@@ -197,6 +197,10 @@ class _Kernel:
         bits = limit.bit_length()
         self.shifts = tuple(j * (bits + 1) for j in range(n))
         self.guard = sum(1 << (s + bits) for s in self.shifts)
+        # the fields are digits in base 2^(bits+1), so a packed exponent is
+        # congruent to its total degree mod 2^(bits+1) - 1, and every total
+        # degree the kernel holds is at most limit, below that modulus
+        self.nines = (1 << (bits + 1)) - 1
         # key(m) = sum of row(m) << (field of the row), first row on top.  A
         # row's values on two fitting vectors differ by less than 2^width, so
         # the first unequal row decides the sign of the keys' difference, even
@@ -219,6 +223,10 @@ class _Kernel:
 
     def monomial(self, e) -> tuple:
         return tuple(e >> s & self.limit for s in self.shifts)
+
+    def degree(self, e) -> int:
+        """Total degree of a packed exponent of total degree at most limit."""
+        return e % self.nines
 
     def pack(self, f: Polynomial) -> list:
         return sorted(
@@ -261,8 +269,8 @@ class _Kernel:
             lc = 1
         else:
             tail = [(k, e, -c) for k, e, c in terms[1:]]
-        degree = max((sum(self.monomial(e)) for _, e, _ in tail), default=0)
-        return le, lk, lc, tail, max(degree - sum(self.monomial(le)), 0)
+        degree = max((e % self.nines for _, e, _ in tail), default=0)
+        return le, lk, lc, tail, max(degree - le % self.nines, 0)
 
     def reduce(self, terms, reducers):
         """(remainder, scale): the remainder, key-descending, of scale times
@@ -285,6 +293,7 @@ class _Kernel:
         heap = [-k for k in work]
         heapq.heapify(heap)
         pop, push, guard, modulus = heapq.heappop, heapq.heappush, self.guard, self.modulus
+        nines, limit = self.nines, self.limit
         gcd = math.gcd
         remainder = []
         scale = 1
@@ -300,9 +309,9 @@ class _Kernel:
                 q = e - le
                 if q & guard:
                     continue
-                if growth and sum(self.monomial(e)) + growth > self.limit:
+                if growth and e % nines + growth > limit:
                     raise OverflowError(
-                        f"a degree past {self.limit} overflows the packed monomials"
+                        f"a degree past {limit} overflows the packed monomials"
                     )
                 if lc != 1:
                     g = gcd(c, lc)
@@ -348,9 +357,30 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     return K.unpack(r, d * scale)
 
 
+def _quotient_floor(degrees, n: int):
+    """d -> a lower bound on dim (R/I)_d for any ideal I of n variables
+    generated by forms of the given degrees.
+
+    For k <= n forms it is the coefficient of t^d in
+    prod(1 - t^d_i) / (1 - t)^n, the Hilbert series of a regular sequence,
+    which bounds that of every such ideal from below (Froberg 1985, "An
+    inequality for Hilbert series of graded algebras", Math. Scand. 56);
+    past n forms the bound is 0."""
+    series = {0: 1} if len(degrees) <= n else {}
+    for a in degrees:
+        product = dict(series)
+        for b, c in series.items():
+            product[a + b] = product.get(a + b, 0) - c
+        series = product
+    terms = [(a, c) for a, c in series.items() if c]
+    return lambda d: sum(c * dim_degree(n, d - a) for a, c in terms)
+
+
 def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> GroebnerBasis:
-    """Unique reduced Groebner basis; normal pair selection, coprime-pair
-    criterion, then minimalization and autoreduction."""
+    """Unique reduced Groebner basis; normal pair selection, coprime-pair and
+    chain criteria, Hilbert-driven pair skipping, then minimalization and
+    autoreduction."""
+    n = ideal.ring.n
     K = _Kernel(order, ideal.ring, max((g.degree() for g in ideal.generators), default=0))
     guard = K.guard
     basis = []
@@ -365,6 +395,41 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
     lmt = [K.monomial(e) for e in lm]
     pairs = set()
     queue = []
+    # Hilbert-driven skipping (Traverso 1996, "Hilbert functions and the
+    # Buchberger algorithm", JSC 22): the leads' standard monomials of degree
+    # d number at least dim (R/I)_d >= floor(d), and where they number
+    # exactly floor(d), in(G)_d = in(I)_d and every S-polynomial of degree d
+    # reduces to zero.  std is (d, the standard monomials of degree d, packed,
+    # floor(d)) for the last degree counted.
+    floor = _quotient_floor([K.degree(e) for e in lm], n)
+    units = [1 << s for s in K.shifts]
+    held = sum(map(len, basis))
+    std = None
+    armed = -1  # the degree of the last S-pair that reduced to zero
+
+    def filled(d):
+        # count a degree only where its monomials are few next to the terms
+        # the basis holds: a count costs n set lookups per monomial
+        nonlocal std
+        if std is None or std[0] != d:
+            if dim_degree(n, d) > n * held:
+                return False
+            # a monomial is standard when it is not a lead and every
+            # m - unit (a guard bit set where m has no such unit) is
+            # standard; the leads of the degrees below d are final
+            at, level = (0, {0} - set(lm)) if std is None else std[:2]
+            while at < d:
+                at += 1
+                below = level
+                level = {m + u for m in below for u in units}
+                level = {
+                    m
+                    for m in level
+                    if all((m - u) & guard or m - u in below for u in units)
+                }
+                level.difference_update(l for l in lm if K.degree(l) == at)
+            std = (d, level, floor(d))
+        return len(std[1]) == std[2]
 
     def add_pairs(k):
         # homogeneous input: processing by S-polynomial degree keeps low-degree
@@ -390,11 +455,13 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
     for k in range(len(basis)):
         add_pairs(k)
     while queue:
-        _, key, i, j, lcm = heapq.heappop(queue)
+        d, key, i, j, lcm = heapq.heappop(queue)
         pairs.remove((i, j))
         if lm[i] + lm[j] == lcm:
             continue  # coprime leading monomials
         if chain_criterion(i, j, lcm):
+            continue
+        if d == armed and filled(d):
             continue
         # S-polynomial (lc_j*x^a*g_i - lc_i*x^b*g_j) / gcd(lc_i, lc_j): the
         # leading terms cancel, and the reducers hold negated tails
@@ -406,8 +473,12 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
             s += [(gk + dk, ge + q, factor * gc) for gk, ge, gc in tail]
         h, _ = K.reduce(s, red)
         if not h:
+            armed = d
             continue
         h = K.normalized(h)
+        if std is not None and std[0] == d:
+            std[1].discard(h[0][1])
+        held += len(h)
         basis.append(h)
         red.append(K.reducer(h))
         lm.append(h[0][1])

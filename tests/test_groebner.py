@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from circuitfan.groebner import (
     GroebnerBasis,
     MacaulayError,
     _Kernel,
+    _quotient_floor,
     basis_json,
     ideal_file_text,
     lex_bound,
@@ -48,6 +50,11 @@ def R():
 
 
 GF = PrimeField(32003)
+
+#: lex, degrevlex, and two weights (padded with zeros to the ring) tied by
+#: degrevlex
+SYMPY_ORDERS = [LEX, DRL, (3, 2, 1), (0, 1, 2)]
+SYMPY_ORDER_IDS = ["lex", "grevlex", "w3,2,1;drl", "w0,1,2;drl"]
 
 
 def reference_normal_form(f, G, reentered=None):
@@ -272,16 +279,39 @@ class TestBuchberger:
                     assert i == j or not any(mono_divides(lm, m) for m in g.terms)
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
-    @pytest.mark.parametrize("order, name", [(LEX, "lex"), (DRL, "grevlex")], ids=["lex", "grevlex"])
-    def test_matches_sympy_groebner(self, suite, order, name, field):
+    @pytest.mark.parametrize("order", SYMPY_ORDERS, ids=SYMPY_ORDER_IDS)
+    def test_matches_sympy_groebner(self, suite, order, field):
         sympy = pytest.importorskip("sympy")
         for I in suite:
-            assert_matches_sympy(sympy, over(field, I), order, name)
+            assert_matches_sympy(sympy, over(field, I), order)
 
 
-def assert_matches_sympy(sympy, I, order, name):
+def ring_order(order, n):
+    """The order itself, or the weight order of a weight prefix in n variables."""
+    if isinstance(order, tuple):
+        return weighted((order + (0,) * n)[:n], tie=DRL)
+    return order
+
+
+def sympy_order(sympy, order):
+    """sympy's name for lex and degrevlex; for a weight order tied by
+    degrevlex, the product of the weight and grevlex."""
+    if order == LEX:
+        return "lex"
+    if order == DRL:
+        return "grevlex"
+    orderings = sympy.polys.orderings
+    w = order.weight
+    return orderings.ProductOrder(
+        (orderings.lex, lambda m: (sum(a * e for a, e in zip(w, m)),)),
+        (orderings.grevlex, lambda m: m),
+    )
+
+
+def assert_matches_sympy(sympy, I, order):
     """buchberger_reduced(I, order) is the reduced basis sympy.groebner
-    computes under the order it calls name."""
+    computes under the same order; a weight prefix is padded to the ring."""
+    order = ring_order(order, I.ring.n)
     field = I.ring.field
     if field == GF:
         options = {"modulus": GF.p}
@@ -294,7 +324,7 @@ def assert_matches_sympy(sympy, I, order, name):
         sympy.Poly.from_dict({m: sympy.Rational(c) for m, c in g.terms.items()}, *syms, **options)
         for g in I.generators
     ]
-    reference = sympy.groebner(polys, *syms, order=name, **options)
+    reference = sympy.groebner(polys, *syms, order=sympy_order(sympy, order), **options)
     want = {canonical(p.terms()) for p in reference.polys}
     got = {canonical(g.terms.items()) for g in buchberger_reduced(I, order).elements}
     assert got == want, I
@@ -333,20 +363,86 @@ def katsura(n):
     return IdealHandle(ring, gens)
 
 
+def cyclic(n):
+    """Homogenized cyclic-n over Q, in x0..x(n-1) and h: for k < n, the sum
+    over i of x_i x_(i+1) ... x_(i+k-1) (indices mod n), and x0 ... x(n-1) = h^n."""
+    names = tuple(f"x{i}" for i in range(n)) + ("h",)
+    ring = PolyRing(names)
+    cycle = lambda k: " + ".join("*".join(names[(i + j) % n] for j in range(k)) for i in range(n))
+    gens = [ring.parse(cycle(k)) for k in range(1, n)]
+    gens.append(ring.parse("*".join(names[:n]) + f" - h^{n}"))
+    return IdealHandle(ring, gens)
+
+
 class TestSympyDifferential:
     """Reduced bases against sympy.groebner on inputs the suite does not
     hold."""
 
-    @pytest.mark.parametrize("order, name", [(LEX, "lex"), (DRL, "grevlex")], ids=["lex", "grevlex"])
-    def test_random_ideals(self, order, name):
+    @pytest.mark.parametrize("order", [LEX, DRL], ids=["lex", "grevlex"])
+    def test_random_ideals(self, order):
         sympy = pytest.importorskip("sympy")
         for I in differential_ideals(2031, 40):
-            assert_matches_sympy(sympy, I, order, name)
+            assert_matches_sympy(sympy, I, order)
 
     def test_katsura4_coefficient_growth(self):
         # the reduced grevlex basis has coefficients of ten digits over Q
         sympy = pytest.importorskip("sympy")
-        assert_matches_sympy(sympy, katsura(4), DRL, "grevlex")
+        assert_matches_sympy(sympy, katsura(4), DRL)
+
+
+class TestHilbertDriven:
+    """Buchberger skips the S-pairs of a degree d once the standard monomials
+    of the leads number _quotient_floor's bound on dim (R/I)_d."""
+
+    def test_quotient_floor_examples(self):
+        # (1 + t)(1 + t + t^2) for a quadric and a cubic in 2 variables
+        floor = _quotient_floor([2, 3], 2)
+        assert [floor(d) for d in range(6)] == [1, 2, 2, 1, 0, 0]
+        # a quadric in 3 variables: (1 + t) / (1 - t)
+        assert [_quotient_floor([2], 3)(d) for d in range(4)] == [1, 3, 5, 7]
+        # past n forms, and with a unit among the generators, the bound is 0
+        assert [_quotient_floor([1, 1, 1], 2)(d) for d in range(4)] == [0] * 4
+        assert [_quotient_floor([0, 2], 3)(d) for d in range(4)] == [0] * 4
+
+    def test_quotient_floor_bounds_hilbert_function(self, suite):
+        for I, tight in [(I, False) for I in suite] + [
+            (katsura(3), True),
+            (katsura(4), True),
+            (cyclic(4), False),
+        ]:
+            floor = _quotient_floor([g.degree() for g in I.generators], I.ring.n)
+            bound = tuple(floor(d) for d in range(9))
+            dims = hilbert_function(I, 8).quotient_dims()
+            assert all(map(operator.le, bound, dims)), I
+            assert bound == dims or not tight, I
+
+    def test_one_zero_remainder_per_armed_degree(self, monkeypatch):
+        # katsura-4 under degrevlex over GF(32003): 23 S-pairs that pass the
+        # coprime and chain criteria reduce to zero; the Hilbert-driven skip
+        # leaves one per degree it arms, four in all
+        reduce = _Kernel.reduce
+        remainders = []
+
+        def recorded(kernel, terms, reducers):
+            r, scale = reduce(kernel, terms, reducers)
+            remainders.append(r)
+            return r, scale
+
+        monkeypatch.setattr(_Kernel, "reduce", recorded)
+        buchberger_reduced(over(GF, katsura(4)), DRL)
+        assert remainders.count([]) == 4
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=["QQ", "GF32003"])
+    @pytest.mark.parametrize("order", SYMPY_ORDERS, ids=SYMPY_ORDER_IDS)
+    def test_matches_sympy_on_katsura_and_cyclic(self, order, field):
+        sympy = pytest.importorskip("sympy")
+        ideals = [katsura(3), cyclic(4)]
+        if order == DRL:
+            # sympy takes half a minute and more for katsura-4 under lex or a
+            # weight; over Q it is test_katsura4_coefficient_growth
+            ideals += [katsura(4)] * (field == GF)
+        for I in ideals:
+            assert_matches_sympy(sympy, over(field, I), order)
 
 
 KERNEL_ORDERS = [
@@ -402,6 +498,33 @@ class TestPackedKernel:
             big = IdealHandle(ring, [scaled(g) for g in I.generators])
             want = tuple(scaled(g) for g in buchberger_reduced(I, o).elements)
             assert buchberger_reduced(big, o).elements == want, I
+
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=KERNEL_IDS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_packed_degree_is_the_digit_sum(self, order, data):
+        # fields are digits in base 2^(bits+1), and a total degree up to
+        # limit is their sum mod 2^(bits+1) - 1
+        degree = data.draw(st.integers(0, 2**40), label="largest input degree")
+        kernel = _Kernel(order, PolyRing(VARS), degree)
+        top = kernel.limit
+        a = data.draw(st.one_of(st.integers(0, 4), st.integers(top - 4, top), st.integers(0, top)))
+        b = data.draw(st.integers(0, top - a))
+        c = data.draw(st.one_of(st.just(top - a - b), st.integers(0, top - a - b)))
+        m = data.draw(st.permutations((a, b, c)))
+        assert kernel.degree(kernel.exponent(m)) == sum(m)
+
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=KERNEL_IDS)
+    def test_packed_degree_on_splits_of_limit(self, order):
+        for degree in (0, 5, 2**33):
+            kernel = _Kernel(order, PolyRing(VARS), degree)
+            top = kernel.limit
+            splits = [(top, 0, 0), (0, top, 0), (0, 0, top), (top - 1, 1, 0), (1, 0, top - 1)]
+            splits += [(top // 2, top - top // 2, 0), (top // 3, top // 3, top - 2 * (top // 3))]
+            splits += [(0, 0, 0), (1, 1, 1), (top - 1, 0, 0)]
+            for m in splits:
+                e = kernel.exponent(m)
+                assert e % kernel.nines == kernel.degree(e) == sum(kernel.monomial(e)) == sum(m)
 
     def test_weight_length_must_match_ring(self, R):
         for ideal in (IdealHandle(R, [R.parse("x^2 + y^2")]), IdealHandle(R, [])):
