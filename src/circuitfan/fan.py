@@ -156,8 +156,10 @@ def _cell(I: IdealHandle, w, tie: MonomialOrder):
     eqs = []
     ins = []
     forms = []
-    # the basis lookup has checked the weight's length
-    for g in I.groebner(order).elements:
+    # the basis lookup has checked the weight's length; an element's lead is
+    # its tie-greatest term of greatest weight, so it also leads the form
+    gb = I.groebner(order)
+    for g, lead in zip(gb.elements, gb.leading_monomials()):
         vals = {m: sum(map(operator.mul, m, w)) for m in g.terms}
         top = max(vals.values())
         initial = [m for m, v in vals.items() if v == top]
@@ -168,7 +170,7 @@ def _cell(I: IdealHandle, w, tie: MonomialOrder):
             for c in rest:
                 ins.append(tuple(map(operator.sub, a, c)))
         form = Polynomial(ring, {m: g.terms[m] for m in initial})
-        forms.append((max(map(tie.key, initial)), form))
+        forms.append((tie.key(lead), form))
     forms.sort(key=lambda p: p[0])
     return [f for _, f in forms], Cone.build(eqs, ins)
 

@@ -122,29 +122,8 @@ class BorelOmegaElement:
     def as_substitution(self, ring: PolyRing) -> Substitution:
         return Substitution(ring, self.matrix, convention="column")
 
-    def compose(self, other: "BorelOmegaElement") -> "BorelOmegaElement":
-        if self.weight != other.weight:
-            raise ValueError("weights differ")
-        fld = self.field
-        n = len(self.weight)
-        prod = tuple(
-            tuple(
-                _dot(fld, [self.matrix[i][k] for k in range(n)], [other.matrix[k][j] for k in range(n)])
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return BorelOmegaElement(self.weight, prod, fld)
-
     def inverse(self) -> "BorelOmegaElement":
         return BorelOmegaElement(self.weight, inverse(self.matrix, self.field.characteristic), self.field)
-
-
-def _dot(fld, xs, ys):
-    s = fld.zero
-    for x, y in zip(xs, ys):
-        s = fld.add(s, fld.mul(x, y))
-    return s
 
 
 def borel_omega_sample(w, spec: RandomSpec, field, stream: int = 0) -> BorelOmegaElement:

@@ -58,25 +58,26 @@ class GroebnerBasis:
 
 
 def _favours(order: MonomialOrder, diffs, n: int) -> bool:
-    """Whether the order puts m above t for every (d, m, t) with d = m - t.
+    """Whether the order puts m above t for every difference d = m - t.
 
     A weight order decides by the sign of w . d and asks its tie only where
-    w . d = 0; lex and degrevlex compare their memoized keys.  A weight whose
-    length is not n raises ValueError."""
+    w . d = 0; lex and degrevlex compare the key of d with that of zero, as
+    the key is linear.  A weight whose length is not n raises ValueError."""
     while order.kind == "weight":
         w = order.weight
         if len(w) != n:
             raise ValueError(f"weight {w} has {len(w)} entries for {n} variables")
         tied = []
-        for entry in diffs:
-            s = sum(map(operator.mul, w, entry[0]))
+        for d in diffs:
+            s = sum(map(operator.mul, w, d))
             if s < 0:
                 return False
             if not s:
-                tied.append(entry)
+                tied.append(d)
         diffs, order = tied, order.tie
     key = order.key
-    return all(key(m) > key(t) for _, m, t in diffs)
+    zero = key((0,) * n)
+    return all(key(d) > zero for d in diffs)
 
 
 class IdealHandle:
@@ -117,11 +118,11 @@ class IdealHandle:
         for held in self._held:
             elements, leads, diffs = held
             if diffs is None:
-                # (m - t, m, t) for every other term t of an element with
-                # leading monomial m; made on the first reuse test, so a handle
-                # that is never asked for another order pays nothing
+                # m - t for every other term t of an element with leading
+                # monomial m; made on the first reuse test, so a handle that is
+                # never asked for another order pays nothing
                 diffs = held[2] = [
-                    (tuple(map(operator.sub, m, t)), m, t)
+                    tuple(map(operator.sub, m, t))
                     for g, m in zip(elements, leads)
                     for t in g.terms
                     if t != m
@@ -147,34 +148,19 @@ class IdealHandle:
 # division and Buchberger on packed monomials
 #
 # After Monagan & Pearce 2007, "Polynomial division using dynamic arrays,
-# heaps, and packed exponent vectors" (CASC).  Each call turns its order into
-# integer rows: unit rows for lex, the partial sums e1 + ... + e(n-k) for
-# degrevlex, and for a weight order the weight followed by the tie order's
-# rows.  A monomial is then two ints.  Its order key holds the row values in
-# equal fields, first row on top, so that int comparison is the order.  Its
-# exponent int holds one field per variable with a guard bit on top.  Both are
-# linear in the exponents: a product is two additions, and a divides b exactly
-# when b - a sets no guard bit.  A packed polynomial is a key-descending list
-# of (key, exponent, coefficient).
+# heaps, and packed exponent vectors" (CASC).  Each call reads its order's
+# integer rows off the linear order key on the unit vectors: the identity for
+# lex, the all-ones row and then -e(n), ..., -e1 for degrevlex, and for a
+# weight order the weight followed by the tie order's rows.  A monomial is
+# then two ints.  Its order key holds the row values in equal fields, first
+# row on top, so that int comparison is the order.  Its exponent int holds one
+# field per variable with a guard bit on top.  Both are linear in the
+# exponents: a product is two additions, and a divides b exactly when b - a
+# sets no guard bit.  A packed polynomial is a key-descending list of (key,
+# exponent, coefficient).
 
 #: bits beyond the largest input degree: exponents up to 256 times it fit
 _HEADROOM_BITS = 8
-
-
-def _order_rows(order: MonomialOrder, n: int) -> list:
-    """Integer rows whose values on an exponent vector, compared
-    lexicographically, compare monomials as the order does."""
-    if order.kind == "lex":
-        return [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    if order.kind == "drl":
-        # the degree, then e1 + ... + e(n-k): at equal degree, comparing
-        # these compares -e(n), -e(n-1), ... in turn
-        return [tuple(int(j < n - k) for j in range(n)) for k in range(n)]
-    if len(order.weight) != n:
-        raise ValueError(
-            f"weight {order.weight} has {len(order.weight)} entries for {n} variables"
-        )
-    return [order.weight] + _order_rows(order.tie, n)
 
 
 class _Kernel:
@@ -201,11 +187,14 @@ class _Kernel:
         # congruent to its total degree mod 2^(bits+1) - 1, and every total
         # degree the kernel holds is at most limit, below that modulus
         self.nines = (1 << (bits + 1)) - 1
-        # key(m) = sum of row(m) << (field of the row), first row on top.  A
-        # row's values on two fitting vectors differ by less than 2^width, so
-        # the first unequal row decides the sign of the keys' difference, even
-        # where a value is negative and borrows from the field above.
-        rows = _order_rows(order, n)
+        # the order key is linear, so its values on the unit vectors are
+        # integer rows: key(m) = sum of row(m) << (field of the row), first
+        # row on top.  A row's values on two fitting vectors differ by less
+        # than 2^width, so the first unequal row decides the sign of the keys'
+        # difference, even where a value is negative and borrows from the
+        # field above.
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        rows = list(zip(*(order.key(unit) for unit in units)))
         width = max(limit * sum(map(abs, r)) for r in rows).bit_length()
         tops = [width * i for i in reversed(range(len(rows)))]
         self.var_keys = tuple(sum(r[j] << t for r, t in zip(rows, tops)) for j in range(n))
@@ -529,9 +518,10 @@ def initial_ideal_w(I: IdealHandle, w, tie: MonomialOrder = DRL) -> IdealHandle:
     reduced basis; generally not monomial."""
     w = make_weight(w)
     gb = I.groebner(weighted(w, tie=tie))
-    forms = [initial_form_w(g, w) for g in gb.elements]
-    forms.sort(key=lambda g: tie.key(leading_monomial(g, tie)))
-    return initial_forms_ideal(I.ring, forms, tie)
+    # an element's lead is its tie-greatest term of greatest weight, so it
+    # also leads the element's initial form under the tie
+    ranked = sorted(zip(map(tie.key, gb.leading_monomials()), gb.elements), key=lambda p: p[0])
+    return initial_forms_ideal(I.ring, [initial_form_w(g, w) for _, g in ranked], tie)
 
 
 def initial_forms_ideal(ring: PolyRing, forms, tie: MonomialOrder) -> IdealHandle:
@@ -733,13 +723,6 @@ def parse_ideal_file(text: str):
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}") from e
     return ring, IdealHandle(ring, polys)
-
-
-def ideal_file_text(I: IdealHandle) -> str:
-    ring = I.ring
-    head = f"ring: {ring.field}; vars: {','.join(ring.names)}"
-    lines = [head, "gens:"] + [poly_str(g) for g in I.generators]
-    return "\n".join(lines) + "\n"
 
 
 def basis_json(gb: GroebnerBasis) -> dict:

@@ -12,7 +12,6 @@ from .ring import (
     initial_form_w,
     mono_degree,
     monomials_of_degree,
-    weight_value,
 )
 
 
@@ -153,17 +152,3 @@ def initial_space_w(W: GradedMatrix, w, tie: MonomialOrder = DRL) -> GradedMatri
     ech = reechelon(W, weighted_order)
     forms = [initial_form_w(f, w) for f in ech.row_polynomials()]
     return span_matrix(W.ring, W.degree, forms, CANONICAL)
-
-
-def weight_component_dims(W: GradedMatrix, w, tie: MonomialOrder = DRL) -> dict:
-    """Dimensions of the weight components of the weight initial space."""
-    if W.dim == 0:
-        return {}
-    weighted_order = weighted(w, tie=tie)
-    ech = reechelon(W, weighted_order)
-    dims = {}
-    for f in ech.row_polynomials():
-        form = initial_form_w(f, w)
-        a = weight_value(next(iter(form.terms)), w)
-        dims[a] = dims.get(a, 0) + 1
-    return dims

@@ -19,25 +19,21 @@ class MonomialOrder:
         if self.kind == "weight":
             if self.weight is None or self.tie is None:
                 raise ValueError("weight-refined order needs a weight and a tie order")
+            object.__setattr__(self, "weight", make_weight(self.weight))
             if self.tie.kind == "weight" and self.tie.weight == self.weight:
                 raise ValueError("tie order refines by the same weight (no-op nesting)")
-        # memo for key(); not a dataclass field, so equality and hashing are
-        # untouched
-        object.__setattr__(self, "_key_cache", {})
 
     def key(self, m: Monomial):
-        """Totally ordered sort key; larger key means larger monomial."""
-        cached = self._key_cache.get(m)
-        if cached is not None:
-            return cached
+        """Totally ordered sort key; larger key means larger monomial.
+
+        Every entry of the key is linear in the exponents, so key(a + b) is
+        key(a) + key(b) entrywise, and the keys of the unit vectors are the
+        integer rows that the packed Groebner kernel orders by."""
         if self.kind == "lex":
-            k = tuple(m)
-        elif self.kind == "drl":
-            k = canonical_key(m)
-        else:
-            k = (weight_value(m, self.weight),) + self.tie.key(m)
-        self._key_cache[m] = k
-        return k
+            return tuple(m)
+        if self.kind == "drl":
+            return canonical_key(m)
+        return (weight_value(m, self.weight),) + self.tie.key(m)
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         """-1, 0 or 1 as m1 is below, equal to or above m2."""
@@ -66,7 +62,7 @@ CANONICAL = DRL
 
 
 def weighted(w, tie: MonomialOrder = DRL) -> MonomialOrder:
-    return MonomialOrder("weight", weight=make_weight(w), tie=tie)
+    return MonomialOrder("weight", weight=w, tie=tie)
 
 
 def leading_term(f: Polynomial, order: MonomialOrder):

@@ -234,14 +234,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(operator.le, a, b))
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b; raises on non-divisibility."""
-    q = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in q):
-        raise ValueError("monomial not divisible")
-    return q
-
-
 def canonical_key(m: Monomial):
     """Sort key realizing degrevlex with declared variable order; larger key
     means larger monomial."""
@@ -288,7 +280,7 @@ def parse_weight(text: str) -> tuple:
 
 def weight_value(m: Monomial, w) -> int:
     if len(m) != len(w):
-        raise ValueError("weight/monomial dimension mismatch")
+        raise ValueError(f"weight {w} has {len(w)} entries for {len(m)} variables")
     return sum(e * we for e, we in zip(m, w))
 
 
@@ -658,16 +650,3 @@ class Substitution:
             for i in range(ring.n)
         ]
         return Substitution(ring, m)
-
-    @staticmethod
-    def diagonal_change(ring: PolyRing, w, a) -> "Substitution":
-        """The change mapping X_i to a^(-w_i) X_i for a nonzero scalar a."""
-        fld = ring.field
-        if fld.is_zero(a):
-            raise ValueError("diagonal change needs a nonzero scalar")
-        m = [
-            [fld.power(a, -w[i]) if i == j else fld.zero for j in range(ring.n)]
-            for i in range(ring.n)
-        ]
-        return Substitution(ring, m)
-

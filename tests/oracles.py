@@ -1,11 +1,25 @@
 """Independent test oracles: textbook Gauss-Jordan elimination over a field
 object, brute-force circuit enumeration straight from the rank criterion,
 with no pruning and no quotient-space shortcut, and the plain formatting of
-circuits sets and polynomials, by key lists and field operations."""
+circuits sets and polynomials, by key lists and field operations; and the
+helpers that only tests use: monomial quotients, diagonal changes, weight
+component dimensions, ideal file text and Borel matrix products."""
 import itertools
 
-from circuitfan.linalg import GradedMatrix, rank_rel
-from circuitfan.ring import canonical_key, monomials_of_degree
+from circuitfan.generic import BorelOmegaElement
+from circuitfan.groebner import IdealHandle
+from circuitfan.linalg import GradedMatrix, rank_rel, reechelon
+from circuitfan.order import DRL, MonomialOrder, weighted
+from circuitfan.ring import (
+    Monomial,
+    PolyRing,
+    Substitution,
+    canonical_key,
+    initial_form_w,
+    monomials_of_degree,
+    poly_str,
+    weight_value,
+)
 
 
 def rref_reference(rows, fld):
@@ -105,3 +119,62 @@ def poly_str_reference(f) -> str:
         else:
             pieces.append(("- " if negative else "+ ") + body)
     return " ".join(pieces)
+
+
+def mono_div(a: Monomial, b: Monomial) -> Monomial:
+    """a / b; raises on non-divisibility."""
+    q = tuple(x - y for x, y in zip(a, b))
+    if any(e < 0 for e in q):
+        raise ValueError("monomial not divisible")
+    return q
+
+
+def diagonal_change(ring: PolyRing, w, a) -> Substitution:
+    """The change mapping X_i to a^(-w_i) X_i for a nonzero scalar a."""
+    fld = ring.field
+    if fld.is_zero(a):
+        raise ValueError("diagonal change needs a nonzero scalar")
+    m = [
+        [fld.power(a, -w[i]) if i == j else fld.zero for j in range(ring.n)]
+        for i in range(ring.n)
+    ]
+    return Substitution(ring, m)
+
+
+def weight_component_dims(W: GradedMatrix, w, tie: MonomialOrder = DRL) -> dict:
+    """Dimensions of the weight components of the weight initial space."""
+    if W.dim == 0:
+        return {}
+    ech = reechelon(W, weighted(w, tie=tie))
+    dims = {}
+    for f in ech.row_polynomials():
+        form = initial_form_w(f, w)
+        a = weight_value(next(iter(form.terms)), w)
+        dims[a] = dims.get(a, 0) + 1
+    return dims
+
+
+def ideal_file_text(I: IdealHandle) -> str:
+    """The ideal file that parse_ideal_file reads back as I."""
+    ring = I.ring
+    head = f"ring: {ring.field}; vars: {','.join(ring.names)}"
+    lines = [head, "gens:"] + [poly_str(g) for g in I.generators]
+    return "\n".join(lines) + "\n"
+
+
+def compose(a: BorelOmegaElement, b: BorelOmegaElement) -> BorelOmegaElement:
+    """The matrix product a*b, validated as a Borel element."""
+    if a.weight != b.weight:
+        raise ValueError("weights differ")
+    fld = a.field
+    n = len(a.weight)
+    prod = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            s = fld.zero
+            for k in range(n):
+                s = fld.add(s, fld.mul(a.matrix[i][k], b.matrix[k][j]))
+            row.append(s)
+        prod.append(tuple(row))
+    return BorelOmegaElement(a.weight, tuple(prod), fld)

@@ -21,11 +21,11 @@ from circuitfan import (
     transform_ideal,
 )
 from circuitfan.circuits import AlphaVector, CircuitsSet, circuits_of_space
-from circuitfan.linalg import graded_basis, weight_component_dims
+from circuitfan.linalg import graded_basis
 from circuitfan.ring import QQ
 
 from conftest import random_homogeneous
-from oracles import circuits_bruteforce
+from oracles import circuits_bruteforce, weight_component_dims
 
 
 X, Y = (1, 0), (0, 1)

@@ -14,7 +14,6 @@ from circuitfan import (
     LEX,
     IdealHandle,
     PolyRing,
-    Substitution,
     buchberger_reduced,
     hilbert_function,
     homogenize_ideal_w,
@@ -35,13 +34,13 @@ from circuitfan.groebner import (
     _Kernel,
     _quotient_floor,
     basis_json,
-    ideal_file_text,
     lex_bound,
 )
-from circuitfan.order import leading_monomial, leading_term
-from circuitfan.ring import QQ, PrimeField, Polynomial, mono_div, mono_divides, mono_mul, poly_str
+from circuitfan.order import MonomialOrder, leading_monomial, leading_term
+from circuitfan.ring import QQ, PrimeField, Polynomial, mono_divides, mono_mul, poly_str
 
 from conftest import VARS, make_suite, over, random_homogeneous
+from oracles import diagonal_change, ideal_file_text, mono_div
 
 
 @pytest.fixture
@@ -526,11 +525,29 @@ class TestPackedKernel:
                 e = kernel.exponent(m)
                 assert e % kernel.nines == kernel.degree(e) == sum(kernel.monomial(e)) == sum(m)
 
+    @pytest.mark.parametrize("order", KERNEL_ORDERS, ids=KERNEL_IDS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_key_is_linear(self, order, data):
+        # the kernel's rows are the keys of the unit vectors, so it orders
+        # monomials as the key does only because every key entry is linear
+        vector = st.tuples(*[st.integers(-(2**40), 2**40)] * 3)
+        a, b = data.draw(vector), data.draw(vector)
+        ka, kb = order.key(a), order.key(b)
+        assert order.key(tuple(map(operator.add, a, b))) == tuple(map(operator.add, ka, kb))
+
+    def test_fraction_weight_is_normalized(self, R):
+        order = MonomialOrder("weight", weight=(Fraction(1, 2), 1), tie=DRL)
+        assert order == weighted((1, 2))
+        I = IdealHandle(R, [R.parse("x^2 + x*y + y^2"), R.parse("x^3 - y^3")])
+        assert buchberger_reduced(I, order) == buchberger_reduced(I, weighted((1, 2)))
+
     def test_weight_length_must_match_ring(self, R):
         for ideal in (IdealHandle(R, [R.parse("x^2 + y^2")]), IdealHandle(R, [])):
-            for w in ((1,), (1, 0, 2)):
+            orders = [weighted((1,)), weighted((1, 0, 2)), weighted((1, 0), tie=weighted((1,)))]
+            for order in orders:
                 with pytest.raises(ValueError, match="for 2 variables"):
-                    buchberger_reduced(ideal, weighted(w))
+                    buchberger_reduced(ideal, order)
         with pytest.raises(ValueError, match="for 2 variables"):
             normal_form(R.parse("x"), GroebnerBasis(weighted((1,)), ()))
 
@@ -805,7 +822,7 @@ class TestFlatFamily:
         H = homogenize_ideal_w(I, (1, 0))
         assert ideal_equal(specialize_t(H, Fraction(1)), I)
         assert ideal_equal(specialize_t(H, Fraction(0)), initial_ideal_w(I, (1, 0)))
-        D2 = Substitution.diagonal_change(R, (1, 0), Fraction(2))
+        D2 = diagonal_change(R, (1, 0), Fraction(2))
         assert ideal_equal(specialize_t(H, Fraction(2)), transform_ideal(D2, I))
 
     def test_family_contract_random(self, suite, suite_rng):
@@ -817,7 +834,7 @@ class TestFlatFamily:
             assert ideal_equal(specialize_t(H, fld.one), I)
             assert ideal_equal(specialize_t(H, fld.zero), initial_ideal_w(I, w))
             for a in (Fraction(2), Fraction(3)):
-                Da = Substitution.diagonal_change(I.ring, w, a)
+                Da = diagonal_change(I.ring, w, a)
                 assert ideal_equal(specialize_t(H, a), transform_ideal(Da, I))
 
 

@@ -19,12 +19,11 @@ from circuitfan.linalg import (
     exact_rank,
     rank_bareiss,
     rref,
-    weight_component_dims,
 )
 from circuitfan.ring import QQ, PrimeField, monomials_of_degree, poly_str
 
 from conftest import random_homogeneous
-from oracles import inverse_reference, rank_reference, rref_reference
+from oracles import inverse_reference, rank_reference, rref_reference, weight_component_dims
 
 
 @pytest.fixture
