@@ -2,9 +2,10 @@
 and the filtration rank vector."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .elim import clear_denominators, residual
+from .elim import clear_denominators
 from .linalg import GradedMatrix, exact_rank, graded_basis, rank_rel
 from .ring import (
     canonical_key,
@@ -79,26 +80,18 @@ def _quotient_images(W: GradedMatrix):
     Modulo the subspace, a pivot monomial reduces to minus the non-pivot tail
     of its echelon row; a non-pivot monomial is its own coordinate vector.
     Scaling a vector does not change linear dependence, so rational vectors
-    are cleared to integers.
+    are cleared to integers; over GF(p) the entries are ints already.
     """
     fld = W.ring.field
-    rational = not fld.characteristic
-    pivot_of_row = {}
-    for i, row in enumerate(W.rows):
-        j = next(k for k, x in enumerate(row) if not fld.is_zero(x))
-        pivot_of_row[j] = i
-    nonpivot = [j for j in range(W.ncols) if j not in pivot_of_row]
-    nonpivot_pos = {j: k for k, j in enumerate(nonpivot)}
-    q = len(nonpivot)
+    row_of = {next(j for j, x in enumerate(r) if not fld.is_zero(x)): r for r in W.rows}
+    nonpivot = [j for j in range(W.ncols) if j not in row_of]
     images = {}
     for j, m in enumerate(W.basis):
-        if j in pivot_of_row:
-            row = W.rows[pivot_of_row[j]]
-            vec = [fld.neg(row[k]) for k in nonpivot]
+        if j in row_of:
+            vec = [fld.neg(row_of[j][k]) for k in nonpivot]
         else:
-            vec = [fld.zero] * q
-            vec[nonpivot_pos[j]] = fld.one
-        images[m] = clear_denominators(vec) if rational else tuple(vec)
+            vec = [fld.one if k == j else fld.zero for k in nonpivot]
+        images[m] = clear_denominators(vec)
     return images
 
 
@@ -106,17 +99,18 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
     """All inclusion-minimal supports of nonzero elements of the subspace.
 
     Depth-first search over the independent sets S of support monomials,
-    each extended only by monomials after its last one.  Every quotient
-    image is extended by its coordinate vector among the candidates, so a
-    residual also records the combination it is.  A node holds the
-    residuals against S of the monomials b after S; a child S + {a} reduces
-    each later residual against that of a in one ``residual`` step.  A
-    residual that vanishes on the image part is the dependency of S + {b},
-    which holds exactly one circuit, the support of its coordinate part
-    (the fundamental circuit, Oxley, *Matroid Theory*, 1.2); b is then
-    dropped from the node, as it stays dependent, with the same circuit, on
-    every extension of S.  Each circuit C is found from S = C minus its
-    last monomial, and the search holds only the nodes on one path.
+    each extended only by monomials after its last one.  A node holds one
+    row per monomial b after S, ``[image residual | one coefficient per
+    monomial of S | own coefficient]``: the residual of b's quotient image
+    against S, and the combination of S + {b} it is.  The child S + {a}
+    reduces each later row against a's inline, by ``pivot*rb - head*ra``
+    with ``-head*own_a`` as a's new slot and ``pivot*own_b`` as the own one.
+    A row that vanishes on the image part is the dependency of S + {b},
+    which holds exactly one circuit: b and the monomials of S with a nonzero
+    slot (the fundamental circuit, Oxley, *Matroid Theory*, 1.2); b then
+    leaves the node, as it stays dependent, with the same circuit, on every
+    extension of S.  Each circuit C is found from S = C minus its last
+    monomial, and the search holds only the nodes on one path.
 
     Returns (frozenset of circuits, truncated); the flag is set when the size
     cap stopped the enumeration early.
@@ -137,39 +131,52 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
         raise ValueError("size_cap must be positive")
     limit = min(size_cap, max_size, n)
     truncated = limit < min(max_size, n)
-    circuits = set()
+    # a monomial whose image vanishes is in the subspace: a singleton circuit
+    circuits = {frozenset([m]) for m in candidates if not any(images[m])}
 
-    def independent(rows):
-        """The rows nonzero on the image part; each other row's coordinate
-        support is a circuit."""
-        kept = []
-        for r in rows:
-            if any(r[:q]):
-                kept.append(r)
-            else:
-                circuits.add(frozenset(candidates[i] for i, x in enumerate(r[q:]) if x))
-        return kept
-
-    def children(rows):
-        # the last monomial has no later ones, so its node would be empty
-        for i, ra in enumerate(rows[:-1]):
+    def children(path, rows):
+        """The nodes S + {a} below S = path, one for each row but the last,
+        whose monomial has no later ones: the later rows reduced against
+        a's, less the ones that vanish on the image part, which give
+        circuits."""
+        for i, (a, ra) in enumerate(rows[:-1]):
             # the pivot lies in the image part, where ra is nonzero
             col = next(j for j, x in enumerate(ra) if x)
-            yield independent([residual(((col, ra),), rb, p) for rb in rows[i + 1 :]])
+            pivot, own = ra[col], ra[-1]
+            child, kept = path + (a,), []
+            for b, rb in rows[i + 1 :]:
+                head = rb[col]
+                if not head:
+                    kept.append((b, rb[:-1] + [0, rb[-1]]))
+                    continue
+                if p:
+                    r = [(pivot * x - head * y) % p for x, y in zip(rb, ra)]
+                    r[-1] = -head * own % p
+                    r.append(pivot * rb[-1] % p)
+                else:
+                    r = [pivot * x - head * y for x, y in zip(rb, ra)]
+                    r[-1] = -head * own
+                    r.append(pivot * rb[-1])
+                    g = math.gcd(*r)
+                    if g > 1:
+                        r = [x // g for x in r]
+                if any(r[:q]):
+                    kept.append((b, r))
+                else:
+                    circuits.add(frozenset([b, *(s for s, x in zip(child, r[q:-1]) if x)]))
+            yield child, kept
 
-    root = independent(
-        images[m] + tuple(int(i == j) for j in range(n)) for i, m in enumerate(candidates)
-    )
+    root = [(m, [*images[m], 1]) for m in candidates if any(images[m])]
     # the generator on top of the stack yields the nodes of size len(stack),
-    # whose residuals find the circuits of size len(stack) + 1; a node's own
+    # whose rows find the circuits of size len(stack) + 1; a node's own
     # children are visited only if theirs are within the limit
-    stack = [children(root)] if limit >= 2 else []
+    stack = [children((), root)] if limit >= 2 else []
     while stack:
-        rows = next(stack[-1], None)
-        if rows is None:
+        node = next(stack[-1], None)
+        if node is None:
             stack.pop()
         elif len(stack) + 2 <= limit:
-            stack.append(children(rows))
+            stack.append(children(*node))
     return frozenset(circuits), truncated
 
 

@@ -69,7 +69,9 @@ def gcs_truncated(
     """Truncated generic circuits set with a two-witness certificate.
 
     Two independent random changes must produce identical circuits sets; on a
-    mismatch the entry bound doubles and both witnesses are redrawn.
+    mismatch the entry bound doubles and both witnesses are redrawn on new
+    streams.  Over GF(p) the entries are uniform in the field whatever the
+    bound, so doubling it changes nothing there; only the redraw does.
     """
     if retries < 1:
         raise ValueError("retries must be at least 1")

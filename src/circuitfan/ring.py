@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elim import clear_denominators, inverse, rref
+from .elim import clear_denominators, echelon, inverse
 
 Monomial = tuple  # tuple[int, ...]
 
@@ -315,11 +315,6 @@ class PolyRing:
     def monomial(self, m: Monomial) -> "Polynomial":
         return Polynomial(self, {tuple(m): self.field.one})
 
-    def constant(self, c) -> "Polynomial":
-        if self.field.is_zero(c):
-            return self.zero()
-        return Polynomial(self, {(0,) * self.n: c})
-
     def extended(self, extra: str = "t") -> "PolyRing":
         if extra in self.names:
             raise ValueError(f"variable {extra!r} already declared")
@@ -587,10 +582,15 @@ class Substitution:
     """Invertible linear change of variables.
 
     Row action sends X_i to sum_j m[i][j] X_j; column action sends X_j to
-    sum_i m[i][j] X_i.
+    sum_i m[i][j] X_i.  The images of the variables are integer linear forms
+    over one common denominator (1 over GF(p)).  ``apply`` builds the image
+    of each monomial it needs once, as the image of the monomial with its
+    first nonzero exponent lowered times one form, and adds c times it, c
+    scaled by den^(top - |m|) over Q, into one integer dict; each output
+    term then makes one Fraction over Q, or one reduction mod p.
     """
 
-    __slots__ = ("ring", "matrix", "convention", "_images")
+    __slots__ = ("ring", "matrix", "convention", "_forms", "_den")
 
     def __init__(self, ring: PolyRing, matrix, convention: str = "row"):
         if convention not in ("row", "column"):
@@ -602,41 +602,50 @@ class Substitution:
         self.ring = ring
         self.matrix = rows
         self.convention = convention
-        if len(rref(rows, ring.field.characteristic)[0]) != n:
+        p = ring.field.characteristic
+        # entries are ints or Fractions over Q, ints over GF(p)
+        self._den = den = 1 if p else math.lcm(*(x.denominator for r in rows for x in r))
+        ints = [[x % p if p else x.numerator * (den // x.denominator) for x in r] for r in rows]
+        if len(echelon(ints, p)) != n:
             raise ValueError("substitution matrix is singular")
-        fld = ring.field
-        images = []
-        for k in range(n):
-            terms = {}
-            for j in range(n):
-                c = rows[k][j] if convention == "row" else rows[j][k]
-                if not fld.is_zero(c):
-                    e = [0] * n
-                    e[j] = 1
-                    terms[tuple(e)] = c
-            images.append(Polynomial(ring, terms))
-        self._images = tuple(images)
+        # X_k goes to sum c X_j / den over the pairs (j, c) of _forms[k]
+        forms = ints if convention == "row" else zip(*ints)
+        self._forms = tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in forms)
 
     def apply(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise ValueError("polynomial from a different ring")
-        out = self.ring.zero()
-        powers = {}
+        p, den, forms = self.ring.field.characteristic, self._den, self._forms
+        one = (0,) * self.ring.n
+        images = {one: {one: 1}}  # lives for this call only
+
+        def image(m):
+            chain = []
+            while m not in images:
+                i = next(k for k, e in enumerate(m) if e)
+                chain.append((m, i))
+                m = m[:i] + (m[i] - 1,) + m[i + 1 :]
+            for m, i in reversed(chain):
+                img = {}
+                for t, c in images[m[:i] + (m[i] - 1,) + m[i + 1 :]].items():
+                    for j, a in forms[i]:
+                        u = t[:j] + (t[j] + 1,) + t[j + 1 :]
+                        img[u] = img.get(u, 0) + a * c
+                images[m] = {u: c % p for u, c in img.items()} if p else img
+            return images[m]
+
+        top = max(map(sum, f.terms), default=0)
+        lcd = 1 if p else math.lcm(*(c.denominator for c in f.terms.values()))
+        out = {}
         for m, c in f.terms.items():
-            piece = self.ring.constant(c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                key = (i, e)
-                if key not in powers:
-                    p = self._images[i]
-                    acc = p
-                    for _ in range(e - 1):
-                        acc = acc * p
-                    powers[key] = acc
-                piece = piece * powers[key]
-            out = out + piece
-        return out
+            if not p:
+                c = c.numerator * (lcd // c.denominator) * den ** (top - sum(m))
+            for u, a in image(m).items():
+                out[u] = out.get(u, 0) + c * a
+        if p:
+            return Polynomial(self.ring, {u: c % p for u, c in out.items()})
+        lcd *= den**top
+        return Polynomial(self.ring, {u: Fraction(c, lcd) for u, c in out.items() if c})
 
     def inverse(self) -> "Substitution":
         inv = inverse(self.matrix, self.ring.field.characteristic)

@@ -1,9 +1,10 @@
 """Independent test oracles: textbook Gauss-Jordan elimination over a field
 object, brute-force circuit enumeration straight from the rank criterion,
 with no pruning and no quotient-space shortcut, and the plain formatting of
-circuits sets and polynomials, by key lists and field operations; and the
-helpers that only tests use: monomial quotients, diagonal changes, weight
-component dimensions, ideal file text and Borel matrix products."""
+circuits sets and polynomials, by key lists and field operations, and the
+term-by-term expansion of a substitution; and the helpers that only tests
+use: monomial quotients, diagonal changes, weight component dimensions,
+ideal file text and Borel matrix products."""
 import itertools
 
 from circuitfan.generic import BorelOmegaElement
@@ -12,6 +13,7 @@ from circuitfan.linalg import GradedMatrix, rank_rel, reechelon
 from circuitfan.order import DRL, MonomialOrder, weighted
 from circuitfan.ring import (
     Monomial,
+    Polynomial,
     PolyRing,
     Substitution,
     canonical_key,
@@ -119,6 +121,40 @@ def poly_str_reference(f) -> str:
         else:
             pieces.append(("- " if negative else "+ ") + body)
     return " ".join(pieces)
+
+
+def substitution_apply_reference(s: Substitution, f: Polynomial) -> Polynomial:
+    """``Substitution.apply`` term by term in field arithmetic: each
+    variable's image polynomial, its powers by repeated multiplication, and
+    each term's product added to the running sum."""
+    ring = s.ring
+    fld = ring.field
+    n = ring.n
+    images = []
+    for k in range(n):
+        terms = {}
+        for j in range(n):
+            c = s.matrix[k][j] if s.convention == "row" else s.matrix[j][k]
+            if not fld.is_zero(c):
+                e = [0] * n
+                e[j] = 1
+                terms[tuple(e)] = c
+        images.append(Polynomial(ring, terms))
+    out = ring.zero()
+    powers = {}
+    for m, c in f.terms.items():
+        piece = Polynomial(ring, {(0,) * n: c})
+        for i, e in enumerate(m):
+            if e == 0:
+                continue
+            if (i, e) not in powers:
+                acc = images[i]
+                for _ in range(e - 1):
+                    acc = acc * images[i]
+                powers[i, e] = acc
+            piece = piece * powers[i, e]
+        out = out + piece
+    return out
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:

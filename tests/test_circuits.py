@@ -22,7 +22,7 @@ from circuitfan import (
 )
 from circuitfan.circuits import AlphaVector, CircuitsSet, circuits_of_space
 from circuitfan.linalg import graded_basis
-from circuitfan.ring import QQ
+from circuitfan.ring import QQ, Polynomial, monomials_of_degree
 
 from conftest import random_homogeneous
 from oracles import circuits_bruteforce, weight_component_dims
@@ -110,6 +110,50 @@ class TestEnumeration:
                 assert not truncated
                 assert circ == circuits_bruteforce(W)
         assert largest > 10**12
+
+    @staticmethod
+    def random_subspace(ring, d, rng, kind):
+        """The whole degree-d piece, a line, a span of random polynomials
+        on a narrower support, or one on every monomial; over Q the
+        coefficients go up to 10^12."""
+        fld = ring.field
+        monos = monomials_of_degree(ring.n, d)
+        if kind == "whole":
+            return span_matrix(ring, d, [ring.monomial(m) for m in monos])
+        support = rng.sample(monos, rng.randint(2, len(monos) - 1)) if kind == "narrow" else monos
+        count = 1 if kind == "line" else rng.randint(1, len(support) - 1)
+        bound = 10**12 if not fld.characteristic else fld.characteristic
+        polys = []
+        while len(polys) < count:
+            f = Polynomial(ring, {m: fld.from_int(rng.randint(-bound, bound)) for m in support})
+            if not f.is_zero():
+                polys.append(f)
+        return span_matrix(ring, d, polys)
+
+    @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(3), PrimeField(32003)], ids=str)
+    def test_random_subspaces_at_every_size_cap(self, fld):
+        # subspaces that are not ideal pieces: the whole piece (codimension
+        # 0, every monomial a circuit), lines, and spans on narrower supports
+        rng = random.Random(47)
+        for names in (("x", "y"), ("x", "y", "z")):
+            ring = PolyRing(names, fld)
+            for d in (2, 3):
+                for kind in ("whole", "line", "narrow", "random") * 2:
+                    W = self.random_subspace(ring, d, rng, kind)
+                    full = circuits_bruteforce(W)
+                    q = W.ncols - W.dim
+                    n = len(W.support_columns())
+                    if kind == "whole":
+                        assert q == 0 and full == {frozenset([m]) for m in W.basis}
+                    elif kind == "line":
+                        assert W.dim == 1
+                    elif kind == "narrow":
+                        assert n < W.ncols
+                    assert circuits_of_space(W) == (full, False)
+                    for k in range(1, q + 2):
+                        circ, truncated = circuits_of_space(W, size_cap=k)
+                        assert circ == {c for c in full if len(c) <= k}
+                        assert truncated == (min(k, q + 1, n) < min(q + 1, n))
 
     def test_binomial_pair_degree_four(self):
         # (a*b - c*d, a^2 - b*c) has 36 circuits in degree 4

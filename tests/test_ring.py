@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circuitfan import (
@@ -19,7 +19,7 @@ from circuitfan import (
 )
 from circuitfan.ring import specialize_last
 
-from oracles import diagonal_change
+from oracles import diagonal_change, inverse_reference, substitution_apply_reference
 
 
 @pytest.fixture
@@ -175,6 +175,37 @@ class TestHomogenize:
         assert specialize_last(ft, Fraction(0), R) == initial_form_w(f, (1, 0))
 
 
+SUBSTITUTION_FIELDS = (QQ, PrimeField(2), PrimeField(32003))
+
+
+@st.composite
+def substitution_cases(draw):
+    """A ring of 1-3 variables, a square matrix, a convention and a
+    polynomial of mixed degrees.  Over Q the entries mix ints and fractions
+    (1/2 and -3/7 among them); over GF(p) they are ints in [-2p, 2p], so
+    negative and unreduced."""
+    fld = draw(st.sampled_from(SUBSTITUTION_FIELDS))
+    n = draw(st.integers(1, 3))
+    ring = PolyRing(("x", "y", "z")[:n], fld)
+    p = fld.characteristic
+    if p:
+        entry = st.integers(-2 * p, 2 * p)
+        coeff = st.integers(0, p - 1)
+    else:
+        entry = st.one_of(
+            st.integers(-9, 9),
+            st.sampled_from([Fraction(1, 2), Fraction(-3, 7)]),
+            st.fractions(-10, 10, max_denominator=12),
+        )
+        coeff = st.fractions(-20, 20, max_denominator=9)
+    row = st.lists(entry, min_size=n, max_size=n)
+    matrix = draw(st.lists(row, min_size=n, max_size=n))
+    convention = draw(st.sampled_from(("row", "column")))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(st.dictionaries(exponents, coeff, max_size=5))
+    return ring, matrix, convention, Polynomial(ring, terms)
+
+
 class TestSubstitution:
     def test_row_action_binomial(self, R):
         s = Substitution(R, [[1, 1], [0, 1]])
@@ -191,6 +222,13 @@ class TestSubstitution:
     def test_singular_rejected(self, R):
         with pytest.raises(ValueError):
             Substitution(R, [[1, 1], [2, 2]])
+        with pytest.raises(ValueError, match="singular"):
+            Substitution(R, [[Fraction(1, 2), Fraction(-3, 7)], [Fraction(7, 6), -1]])
+        # the determinant 7 vanishes only modulo 7
+        R7 = PolyRing(("x", "y"), PrimeField(7))
+        with pytest.raises(ValueError, match="singular"):
+            Substitution(R7, [[1, 2], [-3, 1]])
+        Substitution(R7, [[1, 2], [-3, 2]])
 
     def test_homogeneity_preserved(self, R):
         s = Substitution(R, [[1, 2], [3, 4]])
@@ -216,6 +254,59 @@ class TestSubstitution:
             s = Substitution(R, [[a, b], [c, d]])
             f = Polynomial(R, {m: fld.from_int(v) for m, v in terms.items()})
             assert s.inverse().apply(s.apply(f)) == f
+
+    @settings(max_examples=200, deadline=None)
+    @given(substitution_cases())
+    @example((PolyRing(("x", "y")), [[Fraction(1, 2), 1], [Fraction(-3, 7), 2]], "row",
+              PolyRing(("x", "y")).parse("x^2*y - 3/2*x + 5/4")))
+    def test_apply_matches_term_by_term_expansion(self, case):
+        ring, matrix, convention, f = case
+        fld = ring.field
+        if inverse_reference(matrix, fld) is None:
+            with pytest.raises(ValueError, match="singular"):
+                Substitution(ring, matrix, convention)
+            return
+        s = Substitution(ring, matrix, convention)
+        g = s.apply(f)
+        assert g == substitution_apply_reference(s, f)
+        if fld.characteristic:
+            assert all(0 < c < fld.characteristic for c in g.terms.values())
+        else:
+            assert all(type(c) is Fraction for c in g.terms.values())
+
+    @pytest.mark.parametrize("fld", SUBSTITUTION_FIELDS, ids=str)
+    def test_apply_to_constant_and_zero(self, fld):
+        R = PolyRing(("x", "y"), fld)
+        for convention in ("row", "column"):
+            s = Substitution(R, [[3, -1], [2, 5]], convention)
+            for text in ("0", "3", "3 + x", "x*y^2 - 5"):
+                f = R.parse(text)
+                assert s.apply(f) == substitution_apply_reference(s, f)
+            assert s.apply(R.parse("3")) == R.parse("3")
+
+    def test_apply_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        R = PolyRing(("x", "y", "z"))
+        syms = sympy.symbols(R.names)
+
+        def expr(f):
+            return sum(
+                sympy.Rational(c) * sympy.Mul(*(v**e for v, e in zip(syms, m)))
+                for m, c in f.terms.items()
+            )
+
+        cases = [
+            ([[1, Fraction(1, 2), 0], [Fraction(-3, 7), 2, 1], [0, 1, 5]], "row", "x^2*y - 3/2*z + 7"),
+            ([[2, 0, Fraction(-3, 7)], [1, 1, 0], [Fraction(1, 2), 0, 3]], "column", "x*y*z + y^3 - 1/3*x"),
+            ([[0, 1, 0], [Fraction(5, 4), 0, 1], [1, 0, Fraction(-1, 2)]], "row", "z^4 - x^2*y^2 + 2/5*y"),
+        ]
+        for matrix, convention, text in cases:
+            s = Substitution(R, matrix, convention)
+            f = R.parse(text)
+            m = matrix if convention == "row" else list(zip(*matrix))
+            images = {v: sum(sympy.Rational(c) * u for c, u in zip(m[k], syms)) for k, v in enumerate(syms)}
+            expected = expr(f).subs(images, simultaneous=True).expand()
+            assert sympy.expand(expr(s.apply(f)) - expected) == 0
 
     def test_column_convention(self, R):
         s = Substitution(R, [[1, 5], [0, 1]], convention="column")
