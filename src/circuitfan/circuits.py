@@ -100,17 +100,21 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
 
     Depth-first search over the independent sets S of support monomials,
     each extended only by monomials after its last one.  A node holds one
-    row per monomial b after S, ``[image residual | one coefficient per
-    monomial of S | own coefficient]``: the residual of b's quotient image
-    against S, and the combination of S + {b} it is.  The child S + {a}
-    reduces each later row against a's inline, by ``pivot*rb - head*ra``
-    with ``-head*own_a`` as a's new slot and ``pivot*own_b`` as the own one.
-    A row that vanishes on the image part is the dependency of S + {b},
-    which holds exactly one circuit: b and the monomials of S with a nonzero
-    slot (the fundamental circuit, Oxley, *Matroid Theory*, 1.2); b then
-    leaves the node, as it stays dependent, with the same circuit, on every
-    extension of S.  Each circuit C is found from S = C minus its last
-    monomial, and the search holds only the nodes on one path.
+    row per monomial b after S, exactly q + 1 wide for the codimension q:
+    ``[image residual on the q - |S| columns left | one slot per monomial
+    of S | own coefficient]``, the residual of b's quotient image against S
+    and the combination of S + {b} it is.  The child S + {a} reduces each
+    later row against a's inline, by ``pivot*rb - head*ra`` with
+    ``-head*own_a`` as a's new slot and ``pivot*own_b`` as the own one, and
+    drops a's pivot column.  A row that vanishes on the image part is the
+    dependency of S + {b}, which holds exactly one circuit: b and the
+    monomials of S with a nonzero slot (the fundamental circuit, Oxley,
+    *Matroid Theory*, 1.2); b then leaves the node, as it stays dependent,
+    with the same circuit, on every extension of S.  A child of q monomials
+    spans the quotient, so every later row vanishes: no row is computed, and
+    the slots where ``pivot*slot_b != head*slot_a`` give the circuit.  Each
+    circuit C is found from S = C minus its last monomial, and the search
+    holds only the nodes on one path.
 
     Returns (frozenset of circuits, truncated); the flag is set when the size
     cap stopped the enumeration early.
@@ -140,14 +144,27 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
         a's, less the ones that vanish on the image part, which give
         circuits."""
         for i, (a, ra) in enumerate(rows[:-1]):
+            child = path + (a,)
+            width = q - len(child)  # the image columns left in the child
+            if not width:
+                # each later row's one image entry, head, is nonzero
+                pivot, sa = ra[0], ra[1:]
+                for b, rb in rows[i + 1 :]:
+                    head, slots = rb[0], zip(path, rb[1:], sa)
+                    if p:
+                        rest = [s for s, x, y in slots if (pivot * x - head * y) % p]
+                    else:
+                        rest = [s for s, x, y in slots if pivot * x != head * y]
+                    circuits.add(frozenset([b, a, *rest]))
+                yield child, []
+                continue
             # the pivot lies in the image part, where ra is nonzero
             col = next(j for j, x in enumerate(ra) if x)
-            pivot, own = ra[col], ra[-1]
-            child, kept = path + (a,), []
+            pivot, own, kept = ra[col], ra[-1], []
             for b, rb in rows[i + 1 :]:
                 head = rb[col]
                 if not head:
-                    kept.append((b, rb[:-1] + [0, rb[-1]]))
+                    kept.append((b, rb[:col] + rb[col + 1 : -1] + [0, rb[-1]]))
                     continue
                 if p:
                     r = [(pivot * x - head * y) % p for x, y in zip(rb, ra)]
@@ -160,10 +177,11 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
                     g = math.gcd(*r)
                     if g > 1:
                         r = [x // g for x in r]
-                if any(r[:q]):
+                del r[col]
+                if any(r[:width]):
                     kept.append((b, r))
                 else:
-                    circuits.add(frozenset([b, *(s for s, x in zip(child, r[q:-1]) if x)]))
+                    circuits.add(frozenset([b, *(s for s, x in zip(child, r[width:-1]) if x)]))
             yield child, kept
 
     root = [(m, [*images[m], 1]) for m in candidates if any(images[m])]

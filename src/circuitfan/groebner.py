@@ -484,18 +484,16 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
         )
     ]
 
-    # autoreduce tails
+    # autoreduce tails in one pass: minimalization fixed the leads, and being
+    # reduced depends only on them.  A remainder keeps its lead, and no other
+    # term of it is divisible by another lead, whatever the other tails become.
     final = [basis[i] for i in keep]
     red = [red[i] for i in keep]
-    changed = True
-    while changed:
-        changed = False
-        for i, f in enumerate(final):
-            r, scale = K.reduce(f, red[:i] + red[i + 1 :])
-            if scale != 1 or r != f:
-                final[i] = K.normalized(r)
-                red[i] = K.reducer(final[i])
-                changed = True
+    for i, f in enumerate(final):
+        r, scale = K.reduce(f, red[:i] + red[i + 1 :])
+        if scale != 1 or r != f:
+            final[i] = K.normalized(r)
+            red[i] = K.reducer(final[i])
 
     final.sort(key=lambda f: f[0][0])
     gb = GroebnerBasis(order, tuple(K.unpack(f, f[0][2]) for f in final))

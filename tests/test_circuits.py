@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -24,7 +25,7 @@ from circuitfan.circuits import AlphaVector, CircuitsSet, circuits_of_space
 from circuitfan.linalg import graded_basis
 from circuitfan.ring import QQ, Polynomial, monomials_of_degree
 
-from conftest import random_homogeneous
+from conftest import over, random_homogeneous
 from oracles import circuits_bruteforce, weight_component_dims
 
 
@@ -154,6 +155,43 @@ class TestEnumeration:
                         circ, truncated = circuits_of_space(W, size_cap=k)
                         assert circ == {c for c in full if len(c) <= k}
                         assert truncated == (min(k, q + 1, n) < min(q + 1, n))
+
+    @pytest.mark.parametrize("fld", [QQ, PrimeField(32003)], ids=str)
+    def test_uniform_piece(self, fld):
+        # a dense random span of dimension 6 in the 10 cubics of 3 variables
+        # (q = 4) is uniform: every 5 monomials form a circuit, and each is
+        # read off a path of 4 that spans the quotient
+        rng = random.Random(48)
+        ring = PolyRing(("x", "y", "z"), fld)
+        monos = monomials_of_degree(3, 3)
+        bound = 10**12 if not fld.characteristic else fld.characteristic
+        polys = [
+            Polynomial(ring, {m: fld.from_int(rng.randint(-bound, bound)) for m in monos})
+            for _ in range(6)
+        ]
+        W = span_matrix(ring, 3, polys)
+        assert W.ncols - W.dim == 4
+        circ, truncated = circuits_of_space(W)
+        assert not truncated
+        assert len(circ) == math.comb(10, 5) and all(len(c) == 5 for c in circ)
+        assert circ == circuits_bruteforce(W)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_spanning_paths_over_small_fields(self, suite, p):
+        # after a coordinate change over GF(2) or GF(3), the slots of a path
+        # that spans the quotient often cancel (pivot*x == head*y mod p); the
+        # suite's ideals in 3 variables keep both generators mod 2 and mod 3
+        fld = PrimeField(p)
+        for k, I in enumerate(suite[1:10:2]):
+            I = over(fld, I)
+            J = transform_ideal(random_change(RandomSpec(400 + k), I.ring), I)
+            for d in (2, 3):
+                W = graded_basis(J, d)
+                full = circuits_bruteforce(W)
+                q = W.ncols - W.dim
+                for cap in range(1, q + 2):
+                    circ, _ = circuits_of_space(W, size_cap=cap)
+                    assert circ == {c for c in full if len(c) <= cap}
 
     def test_binomial_pair_degree_four(self):
         # (a*b - c*d, a^2 - b*c) has 36 circuits in degree 4

@@ -37,7 +37,15 @@ from circuitfan.groebner import (
     lex_bound,
 )
 from circuitfan.order import MonomialOrder, leading_monomial, leading_term
-from circuitfan.ring import QQ, PrimeField, Polynomial, mono_divides, mono_mul, poly_str
+from circuitfan.ring import (
+    QQ,
+    PrimeField,
+    Polynomial,
+    mono_divides,
+    mono_mul,
+    monomials_of_degree,
+    poly_str,
+)
 
 from conftest import VARS, make_suite, over, random_homogeneous
 from oracles import diagonal_change, ideal_file_text, mono_div
@@ -254,6 +262,39 @@ class TestBuchberger:
                     if i == j:
                         continue
                     assert not any(mono_divides(lm, m) for m in g.terms)
+
+    @staticmethod
+    def not_interreduced(ring, order):
+        """Generator lists that are not interreduced under the order: g1, g2
+        and g1 + x*g2, and one whose tail holds another's leading monomial."""
+        g1 = ring.parse("x^3 + y^2*z - 2*z^3 + x*y*z")
+        g2 = ring.parse("x*y - z^2 + y^2")
+        yield [g1, g2, g1 + ring.parse("x") * g2]
+        # the degree-2 monomials, greatest first
+        m = [ring.monomial(t) for t in sorted(monomials_of_degree(3, 2), key=order.key, reverse=True)]
+        g = m[1] - m[2] + m[5]
+        yield [g, m[0] + m[1].scale(ring.field.from_int(2)) - m[3], m[2] + m[4] + m[5]]
+
+    @pytest.mark.parametrize("field", [QQ, GF, PrimeField(7)], ids=["Q", "GF32003", "GF7"])
+    @pytest.mark.parametrize(
+        "order",
+        [LEX, DRL, weighted((3, 2, 1)), weighted((0, -1, 1))],
+        ids=["lex", "drl", "w3,2,1", "w0,-1,1"],
+    )
+    def test_reducedness_of_redundant_generators(self, field, order):
+        ring = PolyRing(("x", "y", "z"), field)
+        for gens in self.not_interreduced(ring, order):
+            G = buchberger_reduced(IdealHandle(ring, gens), order).elements
+            lms = [leading_monomial(g, order) for g in G]
+            for i, g in enumerate(G):
+                assert g.terms[lms[i]] == field.one
+                for j, lm in enumerate(lms):
+                    if i != j:
+                        assert not any(mono_divides(lm, t) for t in g.terms)
+            # minimal leads: none divides another
+            assert not any(
+                mono_divides(a, b) for i, a in enumerate(lms) for j, b in enumerate(lms) if i != j
+            )
 
     @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF32003"])
     @pytest.mark.parametrize(
