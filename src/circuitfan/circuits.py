@@ -75,23 +75,24 @@ class CircuitsSet:
 
 
 def _quotient_images(W: GradedMatrix):
-    """Integer-scaled images of the support monomials in the quotient space.
+    """Integer-scaled images of the monomials of the piece in the quotient
+    space, as int tuples.
 
     Modulo the subspace, a pivot monomial reduces to minus the non-pivot tail
     of its echelon row; a non-pivot monomial is its own coordinate vector.
-    Scaling a vector does not change linear dependence, so rational vectors
-    are cleared to integers; over GF(p) the entries are ints already.
+    Scaling a vector does not change linear dependence, so rational tails
+    are cleared to integers.  Over GF(p) a tail's entries are ints in
+    (-p, 0], nonzero exactly where the echelon entry is; the circuit search
+    and ``exact_rank`` reduce them mod p.
     """
-    fld = W.ring.field
-    row_of = {next(j for j, x in enumerate(r) if not fld.is_zero(x)): r for r in W.rows}
+    row_of = {next(j for j, x in enumerate(r) if x): r for r in W.rows}
     nonpivot = [j for j in range(W.ncols) if j not in row_of]
     images = {}
     for j, m in enumerate(W.basis):
         if j in row_of:
-            vec = [fld.neg(row_of[j][k]) for k in nonpivot]
+            images[m] = clear_denominators([-row_of[j][k] for k in nonpivot])
         else:
-            vec = [fld.one if k == j else fld.zero for k in nonpivot]
-        images[m] = clear_denominators(vec)
+            images[m] = tuple(int(k == j) for k in nonpivot)
     return images
 
 

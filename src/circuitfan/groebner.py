@@ -167,17 +167,17 @@ class _Kernel:
     """Packed terms of one ring under one order, and division on them; sized
     for a largest input degree: every exponent up to `limit` fits.
 
-    Over GF(p) coefficients are ints, reduced mod p when read, and divisors
-    are monic.  Over Q they are ints too: an element is kept primitive with a
-    positive leading coefficient, and division scales instead of dividing
+    Coefficients are ints, and the kernel reads the characteristic p, not
+    the field object.  Over GF(p) they are reduced mod p when read, and
+    divisors are monic.  Over Q an element is kept primitive with a positive
+    leading coefficient, and division scales instead of dividing
     (fraction-free, as Monagan & Pearce divide over the integers).  Only
     unpack makes Fractions."""
 
     def __init__(self, order: MonomialOrder, ring: PolyRing, degree: int):
         self.ring = ring
-        self.field = fld = ring.field
         # over GF(p), coefficients are reduced mod p only when read
-        self.modulus = fld.characteristic
+        self.modulus = ring.field.characteristic
         n = ring.n
         self.limit = limit = self.limit_for(degree)
         bits = limit.bit_length()
@@ -232,10 +232,10 @@ class _Kernel:
     def normalized(self, terms) -> list:
         """The terms with int coefficients: over GF(p) monic, over Q scaled
         to coprime integers with a positive leading coefficient."""
-        if self.modulus:
-            fld = self.field
-            inv = fld.invert(terms[0][2])
-            return [(k, e, fld.mul(c, inv)) for k, e, c in terms]
+        p = self.modulus
+        if p:
+            inv = pow(terms[0][2], -1, p)
+            return [(k, e, c * inv % p) for k, e, c in terms]
         ints = clear_denominators([c for _, _, c in terms])
         g = math.gcd(*ints)
         if ints[0] < 0:
@@ -244,20 +244,14 @@ class _Kernel:
 
     def reducer(self, terms):
         """(leading exponent, leading key, leading coefficient, tail, growth)
-        of normalized terms.  Over GF(p) the tail's coefficients are negated
-        and divided by the leading one, which is then 1; over Q they are the
-        negated ints.  Growth is how far the tail's degree passes the leading
-        monomial's."""
+        of ``normalized`` terms, whose leading coefficient is 1 over GF(p).
+        The tail holds the negated coefficients, which over GF(p) reduce
+        mod p when read.  Growth is how far the tail's degree passes the
+        leading monomial's."""
         if not terms:
             raise ValueError("leading term of the zero polynomial")
         lk, le, lc = terms[0]
-        if self.modulus:
-            fld = self.field
-            inv = fld.invert(lc)
-            tail = [(k, e, fld.neg(fld.mul(c, inv))) for k, e, c in terms[1:]]
-            lc = 1
-        else:
-            tail = [(k, e, -c) for k, e, c in terms[1:]]
+        tail = [(k, e, -c) for k, e, c in terms[1:]]
         degree = max((e % self.nines for _, e, _ in tail), default=0)
         return le, lk, lc, tail, max(degree - le % self.nines, 0)
 
@@ -328,12 +322,15 @@ class _Kernel:
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of f on division by G; no remainder monomial is divisible by
-    a leading monomial of G."""
+    a leading monomial of G.  Raises ValueError when G holds a polynomial
+    from another ring than f's."""
     degree = max((sum(m) for g in (f, *G.elements) for m in g.terms), default=0)
     # G's divisors are packed once, and kept on G for every f that needs a
     # kernel of the same ring and width
     cached = G._divisors
     if cached is None or cached[0].limit != _Kernel.limit_for(degree) or cached[0].ring != f.ring:
+        if any(g.ring != f.ring for g in G.elements):
+            raise ValueError("polynomial from a different ring")
         K = _Kernel(G.order, f.ring, degree)
         cached = K, [K.reducer(K.normalized(K.pack(g))) for g in G.elements]
         object.__setattr__(G, "_divisors", cached)

@@ -20,7 +20,8 @@ class GradedMatrix:
     """Reduced row echelon basis of a subspace of the degree-d graded piece.
 
     Columns are indexed by the degree-d monomials, listed in descending
-    column order; rows span the subspace.
+    column order; rows span the subspace.  Entries are Fractions over Q and
+    ints in [0, p) over GF(p), so an entry is zero exactly when it is falsy.
     """
 
     ring: PolyRing
@@ -38,20 +39,14 @@ class GradedMatrix:
         return len(self.basis)
 
     def row_polynomials(self) -> list:
-        out = []
-        for row in self.rows:
-            terms = {m: c for m, c in zip(self.basis, row) if not self.ring.field.is_zero(c)}
-            out.append(Polynomial(self.ring, terms))
-        return out
+        return [
+            Polynomial(self.ring, {m: c for m, c in zip(self.basis, row) if c})
+            for row in self.rows
+        ]
 
     def support_columns(self) -> list:
         """Monomials appearing in the support of some element of the space."""
-        fld = self.ring.field
-        return [
-            m
-            for j, m in enumerate(self.basis)
-            if any(not fld.is_zero(row[j]) for row in self.rows)
-        ]
+        return [m for m, column in zip(self.basis, zip(*self.rows)) if any(column)]
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +73,17 @@ def span_matrix(ring: PolyRing, degree: int, polys, order: MonomialOrder = CANON
     """Echelonized coordinate matrix of the span of degree-d polynomials."""
     basis = sorted(monomials_of_degree(ring.n, degree), key=order.key, reverse=True)
     index = {m: j for j, m in enumerate(basis)}
-    fld = ring.field
     raw = []
     for f in polys:
         if f.is_zero():
             continue
-        row = [fld.zero] * len(basis)
+        row = [0] * len(basis)
         for m, c in f.terms.items():
             if sum(m) != degree:
                 raise ValueError("polynomial not homogeneous of the requested degree")
             row[index[m]] = c
         raw.append(row)
-    rows, _ = rref(raw, fld.characteristic)
+    rows, _ = rref(raw, ring.field.characteristic)
     return GradedMatrix(ring, degree, order, tuple(basis), tuple(rows))
 
 
@@ -124,14 +118,13 @@ def rank_rel(W: GradedMatrix, S, mode: str) -> int:
             raise ValueError(f"monomial {m} has wrong degree")
     if len(set(S)) != len(S):
         raise ValueError("monomial set has repeats")
-    fld = W.ring.field
     index = {m: j for j, m in enumerate(W.basis)}
     rows = [list(r) for r in W.rows]
     for m in S:
-        row = [fld.zero] * W.ncols
-        row[index[m]] = fld.one
+        row = [0] * W.ncols
+        row[index[m]] = 1
         rows.append(row)
-    total = exact_rank(rows, fld)
+    total = exact_rank(rows, W.ring.field)
     if mode == "sub":
         return total - W.dim
     return total - len(S)

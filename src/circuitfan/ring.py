@@ -1,9 +1,10 @@
 """Exact scalars, monomials, sparse polynomials, weights and linear substitutions.
 
 Monomials are plain tuples of non-negative integer exponents.  Scalars are
-``fractions.Fraction`` over the rationals and plain ints in ``[0, p)`` over a
-prime field; all arithmetic goes through the field object so polynomials never
-see floating point.
+``fractions.Fraction`` (or int) over the rationals and plain ints in ``[0, p)``
+over a prime field; ``Polynomial`` reduces every coefficient it stores, so
+polynomial arithmetic is plain int and Fraction arithmetic and never sees
+floating point.  The field objects parse, print and draw scalars.
 """
 from __future__ import annotations
 
@@ -339,14 +340,23 @@ class PolyRing:
 
 
 class Polynomial:
-    """Sparse polynomial: map from exponent tuple to nonzero field scalar."""
+    """Sparse polynomial: map from exponent tuple to nonzero field scalar.
+
+    The constructor is the one place where a coefficient is normalized: over
+    GF(p) it stores ``c % p``, an int in ``[1, p)``, and over Q it keeps the
+    int or Fraction as given; both drop zeros.  Every layer below a
+    Polynomial reads plain ints or Fractions and the characteristic, never
+    the field object."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
-        fld = ring.field
-        self.terms = {m: c for m, c in terms.items() if not fld.is_zero(c)}
+        p = ring.field.characteristic
+        if p:
+            self.terms = {m: r for m, c in terms.items() if (r := c % p)}
+        else:
+            self.terms = {m: c for m, c in terms.items() if c}
 
     # -- predicates
 
@@ -374,43 +384,32 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        fld = self.ring.field
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = fld.add(out.get(m, fld.zero), c)
+            out[m] = out.get(m, 0) + c
         return Polynomial(self.ring, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        fld = self.ring.field
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = fld.sub(out.get(m, fld.zero), c)
+            out[m] = out.get(m, 0) - c
         return Polynomial(self.ring, out)
 
     def __neg__(self) -> "Polynomial":
-        fld = self.ring.field
-        return Polynomial(self.ring, {m: fld.neg(c) for m, c in self.terms.items()})
+        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        fld = self.ring.field
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                prod = fld.mul(c1, c2)
-                if m in out:
-                    out[m] = fld.add(out[m], prod)
-                else:
-                    out[m] = prod
+                out[m] = out.get(m, 0) + c1 * c2
         return Polynomial(self.ring, out)
 
     def scale(self, c) -> "Polynomial":
-        fld = self.ring.field
-        if fld.is_zero(c):
-            return self.ring.zero()
-        return Polynomial(self.ring, {m: fld.mul(c, v) for m, v in self.terms.items()})
+        return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
 
     def mul_monomial(self, m: Monomial) -> "Polynomial":
         return Polynomial(self.ring, {mono_mul(m, k): c for k, c in self.terms.items()})
@@ -587,7 +586,7 @@ class Substitution:
     of each monomial it needs once, as the image of the monomial with its
     first nonzero exponent lowered times one form, and adds c times it, c
     scaled by den^(top - |m|) over Q, into one integer dict; each output
-    term then makes one Fraction over Q, or one reduction mod p.
+    term then makes one Fraction over Q, or is reduced mod p by Polynomial.
     """
 
     __slots__ = ("ring", "matrix", "convention", "_forms", "_den")
@@ -643,7 +642,7 @@ class Substitution:
             for u, a in image(m).items():
                 out[u] = out.get(u, 0) + c * a
         if p:
-            return Polynomial(self.ring, {u: c % p for u, c in out.items()})
+            return Polynomial(self.ring, out)
         lcd *= den**top
         return Polynomial(self.ring, {u: Fraction(c, lcd) for u, c in out.items() if c})
 

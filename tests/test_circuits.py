@@ -278,6 +278,7 @@ class TestMembership:
         assert not is_circuit(W, [X])
         assert not is_circuit(W, [])
         assert not is_circuit(W, [X, X])
+        assert not is_circuit(W, [X, X2])  # x^2 is not in the degree-1 piece
 
     def test_agrees_with_enumeration(self, suite):
         import itertools

@@ -6,7 +6,16 @@ from pathlib import Path
 import pytest
 
 import circuitfan
-from circuitfan import PolyRing
+from circuitfan import (
+    LEX,
+    PolyRing,
+    cone_of,
+    enumerate_fan,
+    initial_ideal_w,
+    parse_ideal_file,
+    poly_str,
+    universal_basis,
+)
 from circuitfan.cli import build_parser, main
 
 
@@ -14,6 +23,8 @@ IDEAL = "ring: Q; vars: x,y\ngens:\nx^2 + x*y + y^2\n"
 PAIR = "ring: Q; vars: x,y\ngens:\nx^2 - y^2\nx*y\n"
 # not symmetric in x and y, so a weight applied to the wrong variable shows
 ASYM = "ring: Q; vars: x,y\ngens:\nx^2 + x*y\n"
+# its fan cells and sampled fan depend on the tie order and on the step
+TWISTED = "ring: Q; vars: x,y,z\ngens:\nx*z - y^2\nx^2 - y*z\n"
 
 
 @pytest.fixture
@@ -165,6 +176,66 @@ class TestBasics:
         )
         assert code == 0
         assert doc["verdict"] == "EQUAL-FAN-CERTIFIED"
+
+
+def _ugb_doc(I, box, step):
+    sketch = enumerate_fan(I, box, step)
+    return {
+        "box": box,
+        "cells": len(sketch.cells),
+        "universal_basis": [poly_str(g) for g in universal_basis(I, sketch)],
+    }
+
+
+class TestTieAndStep:
+    """``--tie`` and ``--step`` reach the library.  On this ideal the lex
+    tie changes the cell of (1,1,1) and the sampled fan, and step 2 changes
+    the sampled fan, so a flag that was dropped would print the default's
+    answer instead."""
+
+    @pytest.mark.parametrize(
+        "argv, library",
+        [
+            (
+                ["fan-enum", "--box", "2", "--tie", "lex"],
+                lambda I: {"fan": enumerate_fan(I, 2, tie=LEX).to_json()},
+            ),
+            (
+                ["fan-cell", "--weight", "1,1,1", "--tie", "lex"],
+                lambda I: {"weight": [1, 1, 1], **cone_of(I, (1, 1, 1), tie=LEX).to_json()},
+            ),
+            (
+                ["inw", "--weight", "2,1,0", "--tie", "lex"],
+                lambda I: {
+                    "weight": [2, 1, 0],
+                    "initial_ideal": [
+                        poly_str(g)
+                        for g in initial_ideal_w(I, (2, 1, 0), tie=LEX).groebner().elements
+                    ],
+                },
+            ),
+            (
+                ["fan-enum", "--box", "2", "--step", "2"],
+                lambda I: {"fan": enumerate_fan(I, 2, 2).to_json()},
+            ),
+            (["ugb", "--box", "2", "--step", "2"], lambda I: _ugb_doc(I, 2, 2)),
+        ],
+        ids=["fan-enum-tie", "fan-cell-tie", "inw-tie", "fan-enum-step", "ugb-step"],
+    )
+    def test_prints_the_library_answer(self, capsys, tmp_path, argv, library):
+        path = tmp_path / "twisted.ideal"
+        path.write_text(TWISTED)
+        code, doc = run(capsys, ["--no-timestamp", argv[0], str(path), *argv[1:]])
+        assert code == 0
+        del doc["config"]
+        _, I = parse_ideal_file(TWISTED)
+        assert doc == json.loads(json.dumps(library(I)))
+
+    def test_flags_change_the_answer(self):
+        _, I = parse_ideal_file(TWISTED)
+        assert cone_of(I, (1, 1, 1), tie=LEX) != cone_of(I, (1, 1, 1))
+        assert enumerate_fan(I, 2, tie=LEX).to_json() != enumerate_fan(I, 2).to_json()
+        assert enumerate_fan(I, 2, 2).to_json() != enumerate_fan(I, 2).to_json()
 
 
 class TestUnsortedWeight:
@@ -395,6 +466,17 @@ class TestExitCodes:
         code, doc = run(capsys, ["lexseg", str(path), "--cap", "8"])
         assert code == 2
         assert doc["error"]["kind"] == "CapTooSmallError"
+
+    def test_cap_below_initial_generators_exit_2(self, capsys, tmp_path):
+        # no lex generator in degree 2, but in(I) has generators in degree 3
+        path = tmp_path / "cubes.ideal"
+        path.write_text("ring: Q; vars: x,y\ngens:\nx^3\ny^3\n")
+        code, doc = run(capsys, ["lexseg", str(path), "--cap", "2"])
+        assert code == 2
+        assert doc["error"] == {
+            "kind": "CapTooSmallError",
+            "reason": "in(I) has generators in degree 3; increase cap beyond 3",
+        }
 
     @pytest.mark.parametrize("retries", ["0", "-1"])
     def test_gcs_retries_must_be_positive(self, capsys, ideal_file, retries):

@@ -1,6 +1,6 @@
 import pytest
 
-from circuitfan import groebner
+from circuitfan import generic, groebner
 from circuitfan import (
     IdealHandle,
     PolyRing,
@@ -15,7 +15,7 @@ from circuitfan import (
     transform_ideal,
 )
 from circuitfan.circuits import circuits_truncated
-from circuitfan.generic import BorelOmegaElement
+from circuitfan.generic import BorelOmegaElement, UncertifiedError
 from circuitfan.ring import QQ
 
 from oracles import compose
@@ -108,6 +108,27 @@ class TestGcs:
         special = circuits_truncated(I, 2)
         generic = gcs_truncated(I, 2, RandomSpec(13))
         assert special != generic
+
+    @pytest.mark.parametrize(
+        "retries, drawn",
+        [(1, [(1, 0), (1, 1)]), (3, [(1, 0), (1, 1), (2, 2), (2, 3), (4, 4), (4, 5)])],
+    )
+    def test_disagreeing_witnesses_redraw_then_fail(self, monkeypatch, retries, drawn):
+        # entries in [-bound, bound] for bounds 1, 2 and 4 are too small to
+        # be generic for this pair: every witness pair disagrees, each retry
+        # doubles the bound and draws on two new streams
+        R3 = PolyRing(("x", "y", "z"))
+        I = IdealHandle(R3, [R3.parse("x^2 - y*z"), R3.parse("x*y - z^2")])
+        seen = []
+
+        def recorded(spec, ring, stream=0):
+            seen.append((spec.entry_bound, stream))
+            return random_change(spec, ring, stream)
+
+        monkeypatch.setattr(generic, "random_change", recorded)
+        with pytest.raises(UncertifiedError, match=f"after {retries} witness pairs"):
+            gcs_truncated(I, 3, RandomSpec(0, entry_bound=1), retries=retries)
+        assert seen == drawn
 
 
 class TestBorelOmega:

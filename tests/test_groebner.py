@@ -219,6 +219,24 @@ class TestNormalForm:
         assert reentered == {(0, 3)}
         assert normal_form(f, G) == R.parse("y^2")
 
+    def test_rejects_a_basis_from_another_ring(self, R):
+        G = IdealHandle(R, [R.parse("x^2 - y^2"), R.parse("x*y")]).groebner(DRL)
+        over_gf7 = PolyRing(("x", "y"), PrimeField(7)).parse("x^2")
+        other_names = PolyRing(("a", "b")).parse("a^2 + 1/2*b^2")
+        for f in (over_gf7, other_names):
+            with pytest.raises(ValueError, match="polynomial from a different ring"):
+                normal_form(f, G)
+        # also once G holds divisors packed for its own ring
+        assert normal_form(R.parse("x^2"), G) == R.parse("y^2")
+        for f in (over_gf7, other_names):
+            with pytest.raises(ValueError, match="polynomial from a different ring"):
+                normal_form(f, G)
+
+    def test_empty_basis_takes_any_ring(self):
+        for ring in (PolyRing(("a", "b")), PolyRing(("x", "y"), PrimeField(7))):
+            f = ring.monomial((1, 1)).scale(3)
+            assert normal_form(f, GroebnerBasis(DRL, ())) == f
+
 
 class TestBuchberger:
     def test_linear_pair_of_generators(self, R):
@@ -850,6 +868,15 @@ class TestLexSegment:
         H = hilbert_function(I, 2)
         with pytest.raises(CapTooSmallError):
             lex_segment(H, R, 2)
+
+    def test_cap_not_past_initial_generators(self, R):
+        # degrees 0..2 bring no lex generator, but the cap does not pass the
+        # top generator degree 3 of in(I), so nothing is certified
+        I = IdealHandle(R, [R.parse("x^3"), R.parse("y^3")])
+        lex_segment(hilbert_function(I, 2), R, 2)
+        with pytest.raises(CapTooSmallError) as err:
+            lex_bound(I, 2)
+        assert str(err.value) == "in(I) has generators in degree 3; increase cap beyond 3"
 
 
 class TestFlatFamily:

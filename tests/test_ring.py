@@ -83,6 +83,33 @@ class TestArithmetic:
             R.parse("x") + other.parse("x")
 
 
+class TestCoefficientInvariant:
+    """Polynomial stores every coefficient reduced: over GF(p) an int in
+    [1, p), with multiples of p dropped; over Q nonzero."""
+
+    @pytest.mark.parametrize("p", [7, 2])
+    def test_unreduced_coefficients_equal_their_residues(self, p):
+        R = PolyRing(("x", "y"), PrimeField(p))
+        x, y = R.parse("x"), R.parse("y")
+        for c in (1 + p, 1 - p, 1 + 5 * p, -(p - 1)):
+            f = Polynomial(R, {(1, 0): c})
+            assert f == x
+            assert hash(f) == hash(x)
+            assert poly_str(f) == "x"
+            assert f.terms == {(1, 0): 1}
+        g = Polynomial(R, {(1, 0): -1, (0, 1): 3 * p, (1, 1): 0})
+        assert g == -x
+        assert poly_str(g) == poly_str(-x)
+        assert g.terms == {(1, 0): p - 1}
+        assert Polynomial(R, {(1, 0): 8 * p, (0, 1): -p}).is_zero()
+        assert (Polynomial(R, {(0, 1): p + 1}) - y).is_zero()
+
+    def test_rational_zeros_dropped(self, R):
+        f = Polynomial(R, {(1, 0): Fraction(0), (0, 1): 0, (1, 1): Fraction(3, 2)})
+        assert f.terms == {(1, 1): Fraction(3, 2)}
+        assert f == R.parse("3/2*x*y")
+
+
 class TestGrammar:
     def test_example_form(self, R3z=PolyRing(("x", "y", "z"))):
         f = R3z.parse("x^2*y - 3/2*z^3")
