@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elim import clear_denominators
 from .linalg import GradedMatrix, exact_rank, graded_basis, rank_rel
 from .ring import (
     canonical_key,
@@ -75,22 +74,19 @@ class CircuitsSet:
 
 
 def _quotient_images(W: GradedMatrix):
-    """Integer-scaled images of the monomials of the piece in the quotient
-    space, as int tuples.
-
-    Modulo the subspace, a pivot monomial reduces to minus the non-pivot tail
-    of its echelon row; a non-pivot monomial is its own coordinate vector.
-    Scaling a vector does not change linear dependence, so rational tails
-    are cleared to integers.  Over GF(p) a tail's entries are ints in
-    (-p, 0], nonzero exactly where the echelon entry is; the circuit search
-    and ``exact_rank`` reduce them mod p.
+    """Images of the monomials of the piece in the quotient space, scaled to
+    int tuples, which keeps linear dependence: a pivot monomial's is minus
+    the non-pivot tail of its echelon row, a non-pivot monomial's its own
+    coordinate vector.  Over GF(p) a tail's entries are ints in (-p, 0],
+    nonzero exactly where the echelon entry is; the circuit search and
+    ``exact_rank`` reduce them mod p.
     """
     row_of = {next(j for j, x in enumerate(r) if x): r for r in W.rows}
     nonpivot = [j for j in range(W.ncols) if j not in row_of]
     images = {}
     for j, m in enumerate(W.basis):
         if j in row_of:
-            images[m] = clear_denominators([-row_of[j][k] for k in nonpivot])
+            images[m] = tuple(-row_of[j][k] for k in nonpivot)
         else:
             images[m] = tuple(int(k == j) for k in nonpivot)
     return images

@@ -5,8 +5,8 @@ loop: ``residual``, the fraction-free reduction of a vector against an
 ``echelon``.  Ranks, reduced row echelon forms and inverses are all read
 off echelons.  Every function takes the field's characteristic ``p``: 0
 for the rationals (rows of integers, or of fractions where stated), a
-prime for GF(p).  Also the clearing of rational vectors to integer ones.
-Imports nothing from the package.
+prime for GF(p); only ``inverse`` makes Fractions.  Also the clearing of
+rational vectors to integer ones.  Imports nothing from the package.
 """
 from __future__ import annotations
 
@@ -15,26 +15,23 @@ from fractions import Fraction
 
 
 def rref(rows, p: int = 0):
-    """Reduced row echelon form over Q (``p`` 0; ints or Fractions) or
-    GF(p); returns (rows, pivot columns), entries Fractions over Q and ints
-    in [0, p) over GF(p).
-
-    Rows are cleared of denominators, put in fraction-free ``echelon``,
-    sorted by pivot column, and each is reduced against the rows with
-    larger pivot columns before its pivot is scaled to 1.
-    """
+    """Reduced row echelon form, unique for the span, over Q (``p`` 0; ints
+    or Fractions) or GF(p); returns (rows, pivot columns).  Each row of the
+    ``echelon``, sorted by pivot column, is reduced against the later ones,
+    which leaves it primitive over Q; then its pivot is made positive (Q)
+    or 1 (GF(p))."""
     if not p:
         rows = [clear_denominators(r) for r in rows]
     ech = sorted(echelon(rows, p), key=lambda e: e[0])
     out = []
     for i, (col, row) in enumerate(ech):
         r = residual(ech[i + 1 :], row, p)
-        pivot = r[col]
         if p:
-            inv = pow(pivot, -1, p)
-            out.append(tuple(x * inv % p for x in r))
-        else:
-            out.append(tuple(Fraction(x, pivot) for x in r))
+            inv = pow(r[col], -1, p)
+            r = [x * inv % p for x in r]
+        elif r[col] < 0:
+            r = [-x for x in r]
+        out.append(tuple(r))
     return out, [col for col, _ in ech]
 
 
@@ -90,15 +87,15 @@ def residual(ech, v, p: int = 0) -> list:
 
 
 def inverse(rows, p: int = 0) -> tuple:
-    """Inverse of a square matrix over Q (``p`` 0) or GF(p), read off the
-    reduced row echelon form of ``[M | I]``; raises ValueError when M is
-    singular."""
+    """Inverse of a square matrix over Q (``p`` 0; Fraction entries) or
+    GF(p): the right half of each ``rref`` row of ``[M | I]`` divided by its
+    pivot; raises ValueError when M is singular."""
     n = len(rows)
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     ech, pivots = rref(aug, p)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return tuple(r[n:] for r in ech)
+    return tuple(r[n:] if p else tuple(Fraction(x, r[i]) for x in r[n:]) for i, r in enumerate(ech))
 
 
 def clear_denominators(values) -> tuple:

@@ -20,15 +20,16 @@ class GradedMatrix:
     """Reduced row echelon basis of a subspace of the degree-d graded piece.
 
     Columns are indexed by the degree-d monomials, listed in descending
-    column order; rows span the subspace.  Entries are Fractions over Q and
-    ints in [0, p) over GF(p), so an entry is zero exactly when it is falsy.
+    column order; the ``rref`` rows of ints span the subspace: primitive
+    with a positive pivot over Q, monic in [0, p) over GF(p), so an entry is
+    zero exactly when it is falsy.
     """
 
     ring: PolyRing
     degree: int
     order: MonomialOrder
     basis: tuple  # monomials, descending in `order`
-    rows: tuple  # tuple of tuples of scalars, in RREF
+    rows: tuple  # tuple of int tuples, in reduced echelon form
 
     @property
     def dim(self) -> int:

@@ -343,10 +343,11 @@ class Polynomial:
     """Sparse polynomial: map from exponent tuple to nonzero field scalar.
 
     The constructor is the one place where a coefficient is normalized: over
-    GF(p) it stores ``c % p``, an int in ``[1, p)``, and over Q it keeps the
-    int or Fraction as given; both drop zeros.  Every layer below a
-    Polynomial reads plain ints or Fractions and the characteristic, never
-    the field object."""
+    GF(p) it stores ``c % p``, an int in ``[1, p)`` (a Fraction a/b as
+    a·b⁻¹; ValueError when p divides b), and over Q it keeps the int or
+    Fraction as given; both drop zeros.  Every layer below a Polynomial
+    reads plain ints or Fractions and the characteristic, never the field
+    object."""
 
     __slots__ = ("ring", "terms")
 
@@ -354,7 +355,11 @@ class Polynomial:
         self.ring = ring
         p = ring.field.characteristic
         if p:
-            self.terms = {m: r for m, c in terms.items() if (r := c % p)}
+            self.terms = {
+                m: r
+                for m, c in terms.items()
+                if (r := (c if type(c) is int else c.numerator * pow(c.denominator, -1, p)) % p)
+            }
         else:
             self.terms = {m: c for m, c in terms.items() if c}
 

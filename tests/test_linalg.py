@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from circuitfan import (
     rank_rel,
     span_matrix,
 )
+from circuitfan.circuits import _quotient_images
 from circuitfan.elim import echelon, inverse, residual
 from circuitfan.generic import RandomSpec, random_change
 from circuitfan.groebner import transform_ideal
@@ -167,8 +169,10 @@ class TestKernels:
     @pytest.mark.parametrize("p", [0, 2, 5, 32003])
     def test_rref_matches_reference(self, p, suite):
         # the RREF is unique: rows, pivot columns and scalar types must match
-        # the Gauss-Jordan reference, Fractions over Q and ints in [0, p)
-        # over GF(p)
+        # the Gauss-Jordan reference, over Q its rows scaled to primitive
+        # ints (the monic row times the lcm of its denominators, divided by
+        # the gcd; its pivot stays positive), over GF(p) ints in [0, p).
+        # The inverse matches the reference exactly: Fractions over Q
         fld = PrimeField(p) if p else QQ
         rng = random.Random(90 + p)
 
@@ -179,8 +183,14 @@ class TestKernels:
                 return rng.randrange(p) + p * rng.randint(-3, 3)
             return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
 
-        def typed(x):
-            return type(x) is Fraction if not p else type(x) is int and 0 <= x < p
+        def typed(x, rational=int):
+            return type(x) is rational if not p else type(x) is int and 0 <= x < p
+
+        def primitive(row):
+            lcm = math.lcm(*(Fraction(x).denominator for x in row))
+            ints = [int(x * lcm) for x in row]
+            g = math.gcd(*ints)
+            return tuple(x // g for x in ints)
 
         cases = [[], [[]], [[], []], [[0, 0, 0]], [[0, 0], [0, 0]], [[2, 4], [1, 2]]]
         for _ in range(150):
@@ -211,8 +221,8 @@ class TestKernels:
                         rows.append([terms.get(b, fld.zero) for b in basis])
                 cases.append(rows)
         for rows in cases:
-            got, expected = rref(rows, p), rref_reference(rows, fld)
-            assert got == expected, rows
+            got, (expected, pivots) = rref(rows, p), rref_reference(rows, fld)
+            assert got == ([primitive(r) for r in expected] if not p else expected, pivots), rows
             assert all(typed(x) for r in got[0] for x in r), rows
         for _ in range(100):
             n = rng.randint(1, 5)
@@ -224,7 +234,7 @@ class TestKernels:
                 continue
             got = inverse(M, p)
             assert got == expected, M
-            assert all(typed(x) for r in got for x in r), M
+            assert all(typed(x, Fraction) for r in got for x in r), M
 
 
 class TestGradedBasis:
@@ -250,6 +260,36 @@ class TestGradedBasis:
     def test_empty_piece(self, R):
         I = IdealHandle(R, [R.parse("x^2")])
         assert graded_basis(I, 1).dim == 0
+
+    def test_rational_rows_are_the_integer_reduced_echelon(self):
+        # over Q the rows depend only on the space: two generating sets give
+        # the same rows, of ints, each primitive with a positive pivot and
+        # zero on the other rows' pivot columns; the quotient images the
+        # circuit search reads are int tuples
+        rng = random.Random(21)
+        R3 = PolyRing(("x", "y", "z"))
+
+        def coefficient():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+
+        for _ in range(30):
+            d = rng.choice([2, 3])
+            A = [random_homogeneous(R3, d, rng, bound=20) for _ in range(rng.randint(1, 6))]
+            # a triangular change with nonzero diagonal spans the same space
+            B = [
+                sum((g.scale(coefficient()) for g in A[i + 1 :]), A[i].scale(coefficient()))
+                for i in range(len(A))
+            ]
+            rng.shuffle(B)
+            W = span_matrix(R3, d, A)
+            assert span_matrix(R3, d, B).rows == W.rows
+            pivots = [next(j for j, x in enumerate(r) if x) for r in W.rows]
+            for r, col in zip(W.rows, pivots):
+                assert all(type(x) is int for x in r)
+                assert math.gcd(*r) == 1 and r[col] > 0
+                assert all(r[c] == 0 for c in pivots if c != col)
+            images = _quotient_images(W)
+            assert all(type(x) is int for v in images.values() for x in v)
 
 
 class TestRankRel:

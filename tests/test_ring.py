@@ -104,6 +104,27 @@ class TestCoefficientInvariant:
         assert Polynomial(R, {(1, 0): 8 * p, (0, 1): -p}).is_zero()
         assert (Polynomial(R, {(0, 1): p + 1}) - y).is_zero()
 
+    @pytest.mark.parametrize("p", [7, 5])
+    def test_fraction_coefficients_are_residues(self, p):
+        # a/b is a * b^-1 mod p, as the parser reads "a/b"; p | b has no
+        # residue
+        R = PolyRing(("x", "y"), PrimeField(p))
+        x = R.parse("x")
+        for c in (Fraction(1, 2), Fraction(-3, 4), Fraction(9, 8), Fraction(3), Fraction(-1, 3)):
+            expected = R.parse(f"{c.numerator}/{c.denominator}*x")
+            for f in (Polynomial(R, {(1, 0): c}), x.scale(c)):
+                assert f == expected
+                assert hash(f) == hash(expected)
+                assert poly_str(f) == poly_str(expected)
+                assert all(type(v) is int for v in f.terms.values())
+        assert Polynomial(R, {(1, 0): Fraction(4 * p, 2), (0, 1): Fraction(-p)}).is_zero()
+        assert Polynomial(R, {(1, 0): Fraction(1, 2)}) == R.parse(f"{(p + 1) // 2}*x")
+        for c in (Fraction(1, p), Fraction(3, 2 * p)):
+            with pytest.raises(ValueError):
+                Polynomial(R, {(1, 0): c})
+            with pytest.raises(ValueError):
+                x.scale(c)
+
     def test_rational_zeros_dropped(self, R):
         f = Polynomial(R, {(1, 0): Fraction(0), (0, 1): 0, (1, 1): Fraction(3, 2)})
         assert f.terms == {(1, 1): Fraction(3, 2)}
