@@ -200,16 +200,16 @@ def is_circuit(W: GradedMatrix, S) -> bool:
     S = list(S)
     if not S or len(set(S)) != len(S):
         return False
-    fld = W.ring.field
+    p = W.ring.field.characteristic
     images = _quotient_images(W)
     if any(m not in images for m in S):
         return False
     vecs = [images[m] for m in S]
-    if exact_rank(vecs, fld) == len(vecs):
+    if exact_rank(vecs, p) == len(vecs):
         return False
     for i in range(len(S)):
         rest = vecs[:i] + vecs[i + 1 :]
-        if rest and exact_rank(rest, fld) < len(rest):
+        if rest and exact_rank(rest, p) < len(rest):
             return False
     return True
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .circuits import circuits_truncated
 from .generic import RandomSpec, gcs_truncated
@@ -239,7 +240,6 @@ def newton_fan_oracle(f: Polynomial, B: int = 4, step: int = 1) -> FanSketch:
     """
     if f.is_zero():
         raise ValueError("zero generator")
-    fld = f.ring.field
     exps = sorted(f.terms)
     cells = []
     seen = set()
@@ -262,7 +262,7 @@ def newton_fan_oracle(f: Polynomial, B: int = 4, step: int = 1) -> FanSketch:
         # initial ideal of a principal ideal, as the sampler records it
         form = Polynomial(f.ring, {m: f.terms[m] for m in argmax})
         _, lc = leading_term(form, CANONICAL)
-        monic = form.scale(fld.invert(lc))
+        monic = form.scale(Fraction(1, lc))
         cells.append(FanCell(tuple(w), Cone.build(eqs, ins), (poly_str(monic),)))
     cells.sort(key=lambda c: c.rep_weight, reverse=True)
     return FanSketch(tuple(cells), B, step)
@@ -275,7 +275,6 @@ def newton_fan_oracle(f: Polynomial, B: int = 4, step: int = 1) -> FanSketch:
 def universal_basis(I: IdealHandle, sketch: FanSketch) -> list:
     """Union of the reduced bases over the full-dimensional sampled cells,
     deduplicated up to nonzero scalar via monic canonical form."""
-    fld = I.ring.field
     out = {}
     for cell in sketch.cells:
         if not cell.full_dimensional:
@@ -283,7 +282,7 @@ def universal_basis(I: IdealHandle, sketch: FanSketch) -> list:
         gb = I.groebner(weighted(cell.rep_weight, tie=DRL))
         for g in gb.elements:
             _, lc = leading_term(g, CANONICAL)
-            monic = g.scale(fld.invert(lc))
+            monic = g.scale(Fraction(1, lc))
             out[poly_str(monic)] = monic
     return [out[k] for k in sorted(out)]
 

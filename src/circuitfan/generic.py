@@ -9,7 +9,7 @@ from .circuits import CircuitsSet, circuits_truncated
 from .elim import inverse
 from .groebner import IdealHandle, initial_ideal_w, normal_form, transform_ideal
 from .order import DRL, MonomialOrder
-from .ring import PolyRing, Substitution, make_weight, poly_str
+from .ring import PolyRing, Substitution, make_weight, poly_str, residue
 
 
 class UncertifiedError(RuntimeError):
@@ -100,7 +100,7 @@ class BorelOmegaElement:
     weight has equal entries; acts on variables by the column convention."""
 
     weight: tuple
-    matrix: tuple  # n x n tuple of tuples of field scalars
+    matrix: tuple  # n x n tuple of tuples: ints or Fractions, residues over GF(p)
     field: object
 
     def __post_init__(self):
@@ -109,16 +109,18 @@ class BorelOmegaElement:
         if list(w) != sorted(w, reverse=True):
             raise ValueError("weight must be sorted non-increasing")
         m = self.matrix
-        fld = self.field
         if len(m) != n or any(len(r) != n for r in m):
             raise ValueError("matrix shape mismatch")
+        if p := self.field.characteristic:
+            m = tuple(tuple(residue(x, p) for x in r) for r in m)
+            object.__setattr__(self, "matrix", m)
         for i in range(n):
-            if m[i][i] != fld.one:
+            if m[i][i] != 1:
                 raise ValueError("diagonal entries must be one")
             for j in range(n):
-                if j < i and not fld.is_zero(m[i][j]):
+                if j < i and m[i][j]:
                     raise ValueError("matrix must be upper triangular")
-                if j > i and w[i] == w[j] and not fld.is_zero(m[i][j]):
+                if j > i and w[i] == w[j] and m[i][j]:
                     raise ValueError("entry must vanish where weight entries tie")
 
     def as_substitution(self, ring: PolyRing) -> Substitution:
@@ -191,7 +193,7 @@ def stab_check(
             if not equal:
                 passed = False
                 entry["witness"] = {
-                    "b_matrix": [[fld.to_str(x) for x in row] for row in b.matrix],
+                    "b_matrix": [[str(x) for x in row] for row in b.matrix],
                     "initial_ideal": [poly_str(p) for p in basis.elements],
                     "moved_to": [poly_str(p) for p in bJ.groebner().elements],
                 }

@@ -59,10 +59,9 @@ def integer_rows(rows):
     return [clear_denominators(r) for r in rows]
 
 
-def exact_rank(rows, fld) -> int:
-    """Rank over the field by ``rank_bareiss``, the length of an echelon:
-    over the rationals on denominator-cleared rows, over GF(p) modulo p."""
-    p = fld.characteristic
+def exact_rank(rows, p: int) -> int:
+    """Rank over Q (``p`` 0), on denominator-cleared rows, or over GF(p), by
+    ``rank_bareiss``: the length of an echelon."""
     return rank_bareiss(rows if p else integer_rows(rows), p)
 
 
@@ -125,7 +124,7 @@ def rank_rel(W: GradedMatrix, S, mode: str) -> int:
         row = [0] * W.ncols
         row[index[m]] = 1
         rows.append(row)
-    total = exact_rank(rows, W.ring.field)
+    total = exact_rank(rows, W.ring.field.characteristic)
     if mode == "sub":
         return total - W.dim
     return total - len(S)

@@ -3,8 +3,9 @@
 Monomials are plain tuples of non-negative integer exponents.  Scalars are
 ``fractions.Fraction`` (or int) over the rationals and plain ints in ``[0, p)``
 over a prime field; ``Polynomial`` reduces every coefficient it stores, so
-polynomial arithmetic is plain int and Fraction arithmetic and never sees
-floating point.  The field objects parse, print and draw scalars.
+all scalar arithmetic is plain int and Fraction arithmetic and never sees
+floating point.  The field objects only parse and draw scalars and give
+``characteristic``, ``zero`` and ``one`` (Fractions over Q).
 """
 from __future__ import annotations
 
@@ -70,8 +71,6 @@ def _is_prime(p: int) -> bool:
 class RationalField:
     """Exact rationals with arbitrary-precision integers."""
 
-    kind: str = "Q"
-
     @property
     def characteristic(self) -> int:
         return 0
@@ -84,43 +83,11 @@ class RationalField:
     def one(self):
         return Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def invert(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Fraction(1, a)
-
-    def div(self, a, b):
-        return a / self.one / b
-
-    def power(self, a, k: int):
-        return Fraction(a) ** k
-
-    def from_int(self, k: int):
-        return Fraction(k)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def parse(self, s: str):
         num, den = _scalar_parts(s)
         if den == 0:
             raise ValueError(f"zero denominator in {s!r}")
         return Fraction(num, den)
-
-    def to_str(self, a) -> str:
-        return str(a)
 
     def random(self, rng, bound: int):
         return Fraction(rng.randint(-bound, bound))
@@ -145,10 +112,6 @@ class PrimeField:
             raise ValueError(f"modulus {self.p} is not prime")
 
     @property
-    def kind(self):
-        return "GF"
-
-    @property
     def characteristic(self) -> int:
         return self.p
 
@@ -160,43 +123,11 @@ class PrimeField:
     def one(self):
         return 1
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def invert(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return (a * self.invert(b)) % self.p
-
-    def power(self, a, k: int):
-        return pow(a, k, self.p)
-
-    def from_int(self, k: int):
-        return k % self.p
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
     def parse(self, s: str):
         num, den = _scalar_parts(s)
         if den % self.p == 0:
             raise ValueError(f"denominator of {s!r} is zero in {self}")
-        return self.div(num % self.p, den % self.p)
-
-    def to_str(self, a) -> str:
-        return str(a % self.p)
+        return num * pow(den, -1, self.p) % self.p
 
     def random(self, rng, bound: int):
         return rng.randrange(self.p)
@@ -217,6 +148,11 @@ def field_from_spec(spec: str):
     if m:
         return PrimeField(int(m.group(1) or m.group(2)))
     raise ValueError(f"unknown field spec {spec!r}")
+
+
+def residue(c, p: int) -> int:
+    """An int or Fraction c mod p, in [0, p): a/b is a·b⁻¹ (ValueError when p | b)."""
+    return (c if type(c) is int else c.numerator * pow(c.denominator, -1, p)) % p
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +278,10 @@ class PolyRing:
 class Polynomial:
     """Sparse polynomial: map from exponent tuple to nonzero field scalar.
 
-    The constructor is the one place where a coefficient is normalized: over
-    GF(p) it stores ``c % p``, an int in ``[1, p)`` (a Fraction a/b as
-    a·b⁻¹; ValueError when p divides b), and over Q it keeps the int or
-    Fraction as given; both drop zeros.  Every layer below a Polynomial
-    reads plain ints or Fractions and the characteristic, never the field
-    object."""
+    The constructor normalizes every coefficient: over GF(p) it stores the
+    ``residue``, an int in ``[1, p)``, and over Q the int or Fraction as
+    given; both drop zeros.  Every layer below a Polynomial reads plain ints
+    or Fractions and the characteristic, never the field object."""
 
     __slots__ = ("ring", "terms")
 
@@ -356,9 +290,7 @@ class Polynomial:
         p = ring.field.characteristic
         if p:
             self.terms = {
-                m: r
-                for m, c in terms.items()
-                if (r := (c if type(c) is int else c.numerator * pow(c.denominator, -1, p)) % p)
+                m: r for m, c in terms.items() if (r := c % p if type(c) is int else residue(c, p))
             }
         else:
             self.terms = {m: c for m, c in terms.items() if c}
@@ -475,7 +407,7 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
             if not factor:
                 raise ValueError(f"bad term {chunk!r}")
             if _COEFF_RE.fullmatch(factor):
-                coeff = fld.mul(coeff, fld.parse(factor))
+                coeff *= fld.parse(factor)
                 continue
             if "^" in factor:
                 name, _, power = factor.partition("^")
@@ -488,9 +420,9 @@ def _parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
                 raise ValueError(f"unknown variable {name!r}")
             expo[var_index[name]] += k
         if sign == "-":
-            coeff = fld.neg(coeff)
+            coeff = -coeff
         m = tuple(expo)
-        terms[m] = fld.add(terms.get(m, fld.zero), coeff)
+        terms[m] = terms.get(m, 0) + coeff
     return Polynomial(ring, terms)
 
 
@@ -498,8 +430,7 @@ def poly_str(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
     ring = f.ring
-    fld = ring.field
-    rational = not fld.characteristic
+    rational = not ring.field.characteristic
     pieces = []
     for i, (m, c) in enumerate(f.sorted_terms()):
         if rational:
@@ -509,7 +440,7 @@ def poly_str(f: Polynomial) -> str:
             mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             unit = mag == "1"
         else:
-            negative, mag, unit = False, fld.to_str(c), c == 1
+            negative, mag, unit = False, str(c), c == 1
         mono = ring.monomial_str(m)
         if mono == "1":
             body = mag
@@ -563,18 +494,12 @@ def homogenize_w(f: Polynomial, w, ring_t: PolyRing = None) -> Polynomial:
 
 
 def specialize_last(f: Polynomial, a, target: PolyRing) -> Polynomial:
-    """Evaluate the last variable at the scalar a, landing in target."""
-    fld = target.field
+    """Evaluate the last variable at the scalar a, landing in target; over
+    GF(p) by modular powers, since a weight gap can make a ** k huge."""
+    p = target.field.characteristic
     out = {}
     for m, c in f.terms.items():
-        base, k = m[:-1], m[-1]
-        if fld.is_zero(a):
-            if k != 0:
-                continue
-            coeff = c
-        else:
-            coeff = fld.mul(c, fld.power(a, k))
-        out[base] = fld.add(out.get(base, fld.zero), coeff)
+        out[m[:-1]] = out.get(m[:-1], 0) + c * (pow(a, m[-1], p) if p else a ** m[-1])
     return Polynomial(target, out)
 
 
@@ -600,16 +525,16 @@ class Substitution:
         if convention not in ("row", "column"):
             raise ValueError("convention must be 'row' or 'column'")
         n = ring.n
-        rows = tuple(tuple(r) for r in matrix)
+        p = ring.field.characteristic
+        # ints or Fractions, stored as residues over GF(p)
+        rows = tuple(tuple(residue(x, p) if p else x for x in r) for r in matrix)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("substitution matrix has wrong shape")
         self.ring = ring
         self.matrix = rows
         self.convention = convention
-        p = ring.field.characteristic
-        # entries are ints or Fractions over Q, ints over GF(p)
         self._den = den = 1 if p else math.lcm(*(x.denominator for r in rows for x in r))
-        ints = [[x % p if p else x.numerator * (den // x.denominator) for x in r] for r in rows]
+        ints = rows if p else [[x.numerator * (den // x.denominator) for x in r] for r in rows]
         if len(echelon(ints, p)) != n:
             raise ValueError("substitution matrix is singular")
         # X_k goes to sum c X_j / den over the pairs (j, c) of _forms[k]
@@ -657,9 +582,5 @@ class Substitution:
 
     @staticmethod
     def identity(ring: PolyRing) -> "Substitution":
-        fld = ring.field
-        m = [
-            [fld.one if i == j else fld.zero for j in range(ring.n)]
-            for i in range(ring.n)
-        ]
-        return Substitution(ring, m)
+        n = ring.n
+        return Substitution(ring, [[int(i == j) for j in range(n)] for i in range(n)])

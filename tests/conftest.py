@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ def random_homogeneous(ring, degree, rng, density=0.7, bound=3):
             if rng.random() < density:
                 c = rng.randint(-bound, bound)
                 if c:
-                    terms[m] = ring.field.from_int(c)
+                    terms[m] = Fraction(c)
         if terms:
             return Polynomial(ring, terms)
 

@@ -1,11 +1,12 @@
-"""Independent test oracles: textbook Gauss-Jordan elimination over a field
-object, brute-force circuit enumeration straight from the rank criterion,
+"""Independent test oracles: textbook Gauss-Jordan elimination over Q or
+GF(p), brute-force circuit enumeration straight from the rank criterion,
 with no pruning and no quotient-space shortcut, and the plain formatting of
-circuits sets and polynomials, by key lists and field operations, and the
+circuits sets and polynomials, by key lists and scalar comparisons, and the
 term-by-term expansion of a substitution; and the helpers that only tests
 use: monomial quotients, diagonal changes, weight component dimensions,
 ideal file text and Borel matrix products."""
 import itertools
+from fractions import Fraction
 
 from circuitfan.generic import BorelOmegaElement
 from circuitfan.groebner import IdealHandle
@@ -24,40 +25,45 @@ from circuitfan.ring import (
 )
 
 
-def rref_reference(rows, fld):
-    """Reduced row echelon form by Gauss-Jordan elimination, one field
-    operation per entry; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
+def rref_reference(rows, p: int):
+    """Reduced row echelon form over Q (``p`` 0) or GF(p) by Gauss-Jordan
+    elimination, one scalar operation per entry, reduced mod p over GF(p);
+    returns (rows, pivot columns)."""
+
+    def red(x):
+        return x % p if p else x
+
+    rows = [[red(x) for x in r] for r in rows]
     pivots = []
     rank = 0
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if not fld.is_zero(rows[i][col])), None)
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = fld.invert(rows[rank][col])
-        rows[rank] = [fld.mul(inv, x) for x in rows[rank]]
+        inv = pow(rows[rank][col], -1, p) if p else Fraction(1, rows[rank][col])
+        rows[rank] = [red(inv * x) for x in rows[rank]]
         for i in range(len(rows)):
-            if i != rank and not fld.is_zero(rows[i][col]):
+            if i != rank and rows[i][col]:
                 factor = rows[i][col]
-                rows[i] = [fld.sub(x, fld.mul(factor, y)) for x, y in zip(rows[i], rows[rank])]
+                rows[i] = [red(x - factor * y) for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
         rank += 1
     return [tuple(r) for r in rows[:rank]], pivots
 
 
-def rank_reference(rows, fld) -> int:
+def rank_reference(rows, p: int) -> int:
     """Rank as the number of Gauss-Jordan pivots."""
-    return len(rref_reference(rows, fld)[1])
+    return len(rref_reference(rows, p)[1])
 
 
-def inverse_reference(rows, fld) -> tuple:
+def inverse_reference(rows, p: int) -> tuple:
     """Inverse from the Gauss-Jordan form of ``[M | I]``, or None when M is
     singular."""
     n = len(rows)
-    aug = [list(r) + [fld.one if i == j else fld.zero for j in range(n)] for i, r in enumerate(rows)]
-    ech, pivots = rref_reference(aug, fld)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    ech, pivots = rref_reference(aug, p)
     if pivots != list(range(n)):
         return None
     return tuple(r[n:] for r in ech)
@@ -99,7 +105,7 @@ def circuits_json_reference(cs, ring) -> list:
 
 
 def poly_str_reference(f) -> str:
-    """``poly_str`` by field operations: the sign by comparison over Q, the
+    """``poly_str`` by scalar operations: the sign by comparison over Q, the
     magnitude by negation, a unit by equality with one."""
     if f.is_zero():
         return "0"
@@ -111,11 +117,11 @@ def poly_str_reference(f) -> str:
         mag = -c if negative else c
         mono = ring.monomial_str(m)
         if mono == "1":
-            body = fld.to_str(mag)
+            body = str(mag)
         elif mag == fld.one:
             body = mono
         else:
-            body = f"{fld.to_str(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if i == 0:
             pieces.append(("-" if negative else "") + body)
         else:
@@ -124,18 +130,17 @@ def poly_str_reference(f) -> str:
 
 
 def substitution_apply_reference(s: Substitution, f: Polynomial) -> Polynomial:
-    """``Substitution.apply`` term by term in field arithmetic: each
+    """``Substitution.apply`` term by term in polynomial arithmetic: each
     variable's image polynomial, its powers by repeated multiplication, and
     each term's product added to the running sum."""
     ring = s.ring
-    fld = ring.field
     n = ring.n
     images = []
     for k in range(n):
         terms = {}
         for j in range(n):
             c = s.matrix[k][j] if s.convention == "row" else s.matrix[j][k]
-            if not fld.is_zero(c):
+            if c:
                 e = [0] * n
                 e[j] = 1
                 terms[tuple(e)] = c
@@ -167,11 +172,11 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
 
 def diagonal_change(ring: PolyRing, w, a) -> Substitution:
     """The change mapping X_i to a^(-w_i) X_i for a nonzero scalar a."""
-    fld = ring.field
-    if fld.is_zero(a):
+    p = ring.field.characteristic
+    if (a % p if p else a) == 0:
         raise ValueError("diagonal change needs a nonzero scalar")
     m = [
-        [fld.power(a, -w[i]) if i == j else fld.zero for j in range(ring.n)]
+        [Fraction(a) ** -w[i] if i == j else 0 for j in range(ring.n)]
         for i in range(ring.n)
     ]
     return Substitution(ring, m)
@@ -202,15 +207,14 @@ def compose(a: BorelOmegaElement, b: BorelOmegaElement) -> BorelOmegaElement:
     """The matrix product a*b, validated as a Borel element."""
     if a.weight != b.weight:
         raise ValueError("weights differ")
-    fld = a.field
     n = len(a.weight)
     prod = []
     for i in range(n):
         row = []
         for j in range(n):
-            s = fld.zero
+            s = 0
             for k in range(n):
-                s = fld.add(s, fld.mul(a.matrix[i][k], b.matrix[k][j]))
+                s += a.matrix[i][k] * b.matrix[k][j]
             row.append(s)
         prod.append(tuple(row))
-    return BorelOmegaElement(a.weight, tuple(prod), fld)
+    return BorelOmegaElement(a.weight, tuple(prod), a.field)

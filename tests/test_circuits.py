@@ -126,7 +126,7 @@ class TestEnumeration:
         bound = 10**12 if not fld.characteristic else fld.characteristic
         polys = []
         while len(polys) < count:
-            f = Polynomial(ring, {m: fld.from_int(rng.randint(-bound, bound)) for m in support})
+            f = Polynomial(ring, {m: Fraction(rng.randint(-bound, bound)) for m in support})
             if not f.is_zero():
                 polys.append(f)
         return span_matrix(ring, d, polys)
@@ -166,7 +166,7 @@ class TestEnumeration:
         monos = monomials_of_degree(3, 3)
         bound = 10**12 if not fld.characteristic else fld.characteristic
         polys = [
-            Polynomial(ring, {m: fld.from_int(rng.randint(-bound, bound)) for m in monos})
+            Polynomial(ring, {m: Fraction(rng.randint(-bound, bound)) for m in monos})
             for _ in range(6)
         ]
         W = span_matrix(ring, 3, polys)
@@ -242,7 +242,7 @@ class TestEnumeration:
             circ, _ = circuits_of_space(W)
             polys = W.row_polynomials()
             for _ in range(5):
-                coeffs = [I.ring.field.from_int(rng.randint(-4, 4)) for _ in polys]
+                coeffs = [Fraction(rng.randint(-4, 4)) for _ in polys]
                 f = I.ring.zero()
                 for c, p in zip(coeffs, polys):
                     f = f + p.scale(c)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from circuitfan import generic, groebner
@@ -139,6 +141,18 @@ class TestBorelOmega:
             BorelOmegaElement((1, 1), ((1, 3), (0, 1)), QQ)  # tie entry nonzero
         with pytest.raises(ValueError):
             BorelOmegaElement((0, 1), ((1, 0), (0, 1)), QQ)  # unsorted weight
+
+    def test_entries_are_residues_over_prime_field(self):
+        # every check reads the entries mod p, and they are stored reduced
+        F7 = PrimeField(7)
+        b = BorelOmegaElement((1, 0), ((8, Fraction(1, 2)), (7, -6)), F7)
+        assert b.matrix == ((1, 4), (0, 1))
+        with pytest.raises(ValueError, match="upper triangular"):
+            BorelOmegaElement((1, 0), ((1, 0), (8, 1)), F7)
+        with pytest.raises(ValueError, match="diagonal"):
+            BorelOmegaElement((1, 0), ((7, 0), (0, 1)), F7)
+        with pytest.raises(ValueError, match="vanish"):
+            BorelOmegaElement((1, 1), ((1, 15), (0, 1)), F7)
 
     def test_group_axioms(self):
         spec = RandomSpec(14)
