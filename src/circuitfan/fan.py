@@ -10,12 +10,7 @@ from fractions import Fraction
 
 from .circuits import circuits_truncated
 from .generic import RandomSpec, gcs_truncated
-from .groebner import (
-    IdealHandle,
-    hilbert_function,
-    initial_forms_ideal,
-    lex_bound,
-)
+from .groebner import IdealHandle, hilbert_function, initial_split_w, lex_bound
 from .order import CANONICAL, DRL, MonomialOrder, leading_term, weighted
 from .ring import (
     Polynomial,
@@ -146,42 +141,16 @@ def cone_of(I: IdealHandle, w, tie: MonomialOrder = DRL) -> Cone:
 
 
 def _cell(I: IdealHandle, w, tie: MonomialOrder):
-    """(initial forms, cone) at w, from one walk over the weight-refined
-    reduced basis: each element splits once into its terms of maximal weight,
-    which make its initial form, and the rest.  The forms are sorted by the tie
-    key of their leading monomials, so they are the tie-reduced basis of the
-    weight initial ideal."""
-    order = weighted(w, tie=tie)
-    w = order.weight
-    ring = I.ring
+    """(in_w(I), cone) at w: the cone's equalities tie the maximal exponent
+    vectors of each element that initial_split_w splits, and its inequalities
+    put them above the element's other ones."""
+    J, splits = initial_split_w(I, w, tie)
     eqs = []
     ins = []
-    forms = []
-    # the basis lookup has checked the weight's length; an element's lead is
-    # its tie-greatest term of greatest weight, so it also leads the form
-    gb = I.groebner(order)
-    for g, lead in zip(gb.elements, gb.leading_monomials()):
-        vals = {m: sum(map(operator.mul, m, w)) for m in g.terms}
-        top = max(vals.values())
-        initial = [m for m, v in vals.items() if v == top]
-        rest = [m for m, v in vals.items() if v != top]
-        for a, b in itertools.combinations(initial, 2):
-            eqs.append(tuple(map(operator.sub, a, b)))
-        for a in initial:
-            for c in rest:
-                ins.append(tuple(map(operator.sub, a, c)))
-        form = Polynomial(ring, {m: g.terms[m] for m in initial})
-        forms.append((tie.key(lead), form))
-    forms.sort(key=lambda p: p[0])
-    return [f for _, f in forms], Cone.build(eqs, ins)
-
-
-def _fingerprint(ring, forms, tie: MonomialOrder) -> tuple:
-    """The canonical reduced basis of the ideal of the forms that _cell
-    returns, as strings; for the canonical tie it is the forms themselves."""
-    if tie != CANONICAL:
-        forms = initial_forms_ideal(ring, forms, tie).groebner(CANONICAL).elements
-    return tuple(poly_str(g) for g in forms)
+    for initial, rest in splits:
+        eqs += [tuple(map(operator.sub, a, b)) for a, b in itertools.combinations(initial, 2)]
+        ins += [tuple(map(operator.sub, a, c)) for a in initial for c in rest]
+    return J, Cone.build(eqs, ins)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +186,8 @@ def enumerate_fan(I: IdealHandle, B: int, step: int = 1, tie: MonomialOrder = DR
                     cells.insert(0, cells.pop(i))
                 break
         else:
-            forms, cone = _cell(I, w, tie)
-            gens = _fingerprint(I.ring, forms, tie)
+            J, cone = _cell(I, w, tie)
+            gens = tuple(poly_str(g) for g in J.groebner(CANONICAL).elements)
             if gens in seen:
                 raise FanConsistencyError(
                     f"weights {seen[gens]} and {w} share an initial ideal but not a cone"

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .circuits import CircuitsSet, circuits_truncated
 from .elim import inverse
 from .groebner import IdealHandle, initial_ideal_w, normal_form, transform_ideal
-from .order import DRL, MonomialOrder
 from .ring import PolyRing, Substitution, make_weight, poly_str, residue
 
 
@@ -133,8 +132,6 @@ class BorelOmegaElement:
 def borel_omega_sample(w, spec: RandomSpec, field, stream: int = 0) -> BorelOmegaElement:
     """Random element of the weight Borel subgroup."""
     w = make_weight(w)
-    if list(w) != sorted(w, reverse=True):
-        raise ValueError("weight must be sorted non-increasing")
     rng = _rng(spec, stream)
     n = len(w)
     m = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
@@ -155,7 +152,6 @@ def stab_check(
     spec: RandomSpec,
     g_trials: int = 2,
     b_trials: int = 5,
-    tie: MonomialOrder = DRL,
     force_identity_g: bool = False,
 ) -> dict:
     """Check that weight initial ideals of random coordinate changes are fixed
@@ -182,7 +178,7 @@ def stab_check(
             g = Substitution.identity(I.ring)
         else:
             g = random_change(spec, I.ring, stream=100 + gi)
-        J = initial_ideal_w(transform_ideal(g, I), w, tie=tie)
+        J = initial_ideal_w(transform_ideal(g, I), w)
         basis = J.groebner()
         b_results = []
         for bi in range(b_trials):

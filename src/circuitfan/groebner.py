@@ -18,7 +18,6 @@ from .ring import (
     dim_degree,
     field_from_spec,
     homogenize_w,
-    initial_form_w,
     make_weight,
     mono_divides,
     monomials_of_degree,
@@ -38,7 +37,7 @@ class CapTooSmallError(ValueError):
 @dataclass(frozen=True)
 class GroebnerBasis:
     order: MonomialOrder
-    elements: tuple  # monic polynomials, canonically sorted
+    elements: tuple  # monic polynomials, ascending by the order key of their leads
 
     def __post_init__(self):
         # (kernel, divisors) that normal_form packed last, and the elements'
@@ -511,24 +510,36 @@ def initial_ideal(I: IdealHandle, order: MonomialOrder = CANONICAL) -> IdealHand
 def initial_ideal_w(I: IdealHandle, w, tie: MonomialOrder = DRL) -> IdealHandle:
     """Ideal generated by the weight initial forms of the weight-refined
     reduced basis; generally not monomial."""
-    w = make_weight(w)
-    gb = I.groebner(weighted(w, tie=tie))
-    # an element's lead is its tie-greatest term of greatest weight, so it
-    # also leads the element's initial form under the tie
-    ranked = sorted(zip(map(tie.key, gb.leading_monomials()), gb.elements), key=lambda p: p[0])
-    return initial_forms_ideal(I.ring, [initial_form_w(g, w) for _, g in ranked], tie)
+    return initial_split_w(I, w, tie)[0]
 
 
-def initial_forms_ideal(ring: PolyRing, forms, tie: MonomialOrder) -> IdealHandle:
-    """Ideal of the initial forms of a weight-refined reduced basis, given
-    sorted by the tie key of their leading monomials, holding them as its
-    tie-reduced basis.
+def initial_split_w(I: IdealHandle, w, tie: MonomialOrder = DRL):
+    """(in_w(I), splits) from one walk over the weight-refined reduced basis.
 
-    The forms are a tie-Groebner basis of in_w(I); each keeps its element's
-    leading term and a subset of its tail, so they are monic and reduced."""
-    J = IdealHandle(ring, forms)
-    J._cache[tie] = J._hold(GroebnerBasis(tie, tuple(forms)))
-    return J
+    Each element splits once into its terms of maximal weight, which make its
+    initial form, and the rest; splits holds (initial monomials, other
+    monomials) for each element.  An element's lead is its tie-greatest term
+    of greatest weight, so it also leads the form, and the form keeps a
+    subset of the element's tail: sorted by the tie key of their leads, the
+    forms are monic and reduced, a tie-Groebner basis of in_w(I), and the
+    returned handle holds them, with those leads, as its tie-reduced basis."""
+    order = weighted(w, tie=tie)
+    w = order.weight
+    gb = I.groebner(order)  # checks the weight's length
+    ranked = []
+    splits = []
+    for g, lead in zip(gb.elements, gb.leading_monomials()):
+        vals = {m: sum(map(operator.mul, m, w)) for m in g.terms}
+        top = max(vals.values())
+        initial = [m for m, v in vals.items() if v == top]
+        splits.append((initial, [m for m, v in vals.items() if v != top]))
+        form = Polynomial(I.ring, {m: g.terms[m] for m in initial})
+        ranked.append((tie.key(lead), lead, form))
+    ranked.sort(key=lambda r: r[0])
+    J = IdealHandle(I.ring, [f for _, _, f in ranked])
+    basis = GroebnerBasis(tie, J.generators)._with_leads(m for _, m, _ in ranked)
+    J._cache[tie] = J._hold(basis)
+    return J, splits
 
 
 def ideal_equal(I: IdealHandle, J: IdealHandle) -> bool:

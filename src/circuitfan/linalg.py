@@ -87,7 +87,7 @@ def span_matrix(ring: PolyRing, degree: int, polys, order: MonomialOrder = CANON
     return GradedMatrix(ring, degree, order, tuple(basis), tuple(rows))
 
 
-def graded_basis(ideal, d: int, order: MonomialOrder = CANONICAL) -> GradedMatrix:
+def graded_basis(ideal, d: int) -> GradedMatrix:
     """Echelon basis of the degree-d piece of a homogeneous ideal.
 
     Accepts any object with ``ring`` and ``generators`` attributes.
@@ -102,7 +102,7 @@ def graded_basis(ideal, d: int, order: MonomialOrder = CANONICAL) -> GradedMatri
             continue
         for m in monomials_of_degree(ring.n, gap):
             polys.append(g.mul_monomial(m))
-    return span_matrix(ring, d, polys, order)
+    return span_matrix(ring, d, polys)
 
 
 def rank_rel(W: GradedMatrix, S, mode: str) -> int:

@@ -430,21 +430,17 @@ def poly_str(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
     ring = f.ring
-    rational = not ring.field.characteristic
     pieces = []
     for i, (m, c) in enumerate(f.sorted_terms()):
-        if rational:
-            # the Fraction's parts: no Fraction arithmetic or comparison
-            num, den = c.numerator, c.denominator
-            negative = num < 0
-            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-            unit = mag == "1"
-        else:
-            negative, mag, unit = False, str(c), c == 1
+        # the scalar's parts, no Fraction arithmetic or comparison: a GF(p)
+        # residue is an int in [1, p), its own numerator over denominator 1
+        num, den = c.numerator, c.denominator
+        negative = num < 0
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         mono = ring.monomial_str(m)
         if mono == "1":
             body = mag
-        elif unit:
+        elif mag == "1":
             body = mono
         else:
             body = f"{mag}*{mono}"
@@ -463,9 +459,8 @@ def initial_form_w(f: Polynomial, w) -> Polynomial:
     """Sum of the terms of f of maximal weight."""
     if f.is_zero():
         raise ValueError("initial form of the zero polynomial")
-    vals = {m: weight_value(m, w) for m in f.terms}
-    top = max(vals.values())
-    return Polynomial(f.ring, {m: c for m, c in f.terms.items() if vals[m] == top})
+    top = initial_support_w(f.terms, w)
+    return Polynomial(f.ring, {m: c for m, c in f.terms.items() if m in top})
 
 
 def initial_support_w(support, w) -> frozenset:

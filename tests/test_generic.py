@@ -142,6 +142,10 @@ class TestBorelOmega:
         with pytest.raises(ValueError):
             BorelOmegaElement((0, 1), ((1, 0), (0, 1)), QQ)  # unsorted weight
 
+    def test_sampler_rejects_unsorted_weight(self):
+        with pytest.raises(ValueError, match="sorted non-increasing"):
+            borel_omega_sample((0, 1), RandomSpec(0), QQ)
+
     def test_entries_are_residues_over_prime_field(self):
         # every check reads the entries mod p, and they are stored reduced
         F7 = PrimeField(7)

@@ -717,6 +717,10 @@ class TestBasisCache:
                 for target in (order.tie, CANONICAL):
                     want = buchberger_reduced(fresh(J), target).elements
                     assert J.groebner(target).elements == want, (I, order, target)
+                # the seeded basis carries the leads of the elements it came from
+                seeded = J.groebner(order.tie)
+                leads = tuple(leading_monomial(g, order.tie) for g in seeded.elements)
+                assert seeded._leads == leads, (I, order)
 
     def test_changed_leading_monomial_is_not_reused(self, R):
         I = IdealHandle(R, [R.parse("x^2 - y^2")])
