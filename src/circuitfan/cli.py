@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 
@@ -349,9 +350,22 @@ def _emit(x, nl, out):
         out.append(json.dumps(x, indent=2).replace("\n", nl))
 
 
+def _glued(argv) -> list:
+    """argv with each value that starts with a minus and a digit joined to the
+    option before it, as ``--weight=-1,0,5``: argparse alone takes
+    ``-1,0,5`` for an option."""
+    out = []
+    for arg in argv:
+        if out and re.fullmatch(r"--\w[\w-]*", out[-1]) and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_glued(sys.argv[1:] if argv is None else argv))
     except ArgumentError as e:
         # nothing was parsed: no config, and no --output to write to
         print(dumps({"error": {"kind": type(e).__name__, "reason": str(e)}}))

@@ -160,6 +160,18 @@ class TestBasics:
         assert code == 0
         assert doc["weight"] == [1, 2]
 
+    def test_negative_weight_after_a_space(self, capsys, tmp_path):
+        # argparse alone takes -1,0,5 for an option; a shift by the all-ones
+        # vector leaves the initial ideal of a homogeneous ideal unchanged
+        path = tmp_path / "t.ideal"
+        path.write_text(TWISTED)
+        code, doc = run(capsys, ["inw", str(path), "--weight", "-1,0,5"])
+        assert code == 0 and doc["weight"] == [-1, 0, 5]
+        _, ref = run(capsys, ["inw", str(path), "--weight", "0,1,6"])
+        assert doc["initial_ideal"] == ref["initial_ideal"]
+        _, glued = run(capsys, ["inw", str(path), "--weight=-1,0,5"])
+        assert glued == doc
+
     def test_stab(self, capsys, ideal_file):
         code, doc = run(
             capsys, ["stab", ideal_file, "--weight", "1,0", "--seed", "5"]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from circuitfan.circuits import circuits_truncated
 from circuitfan.generic import BorelOmegaElement, UncertifiedError
 from circuitfan.ring import QQ
 
+from conftest import VARS, over, random_homogeneous
 from oracles import compose
 
 
@@ -252,3 +254,71 @@ class TestStabCheck:
             w = (2, 1) if I.ring.n == 2 else (2, 1, 0)
             report = stab_check(I, w, RandomSpec(22), g_trials=1, b_trials=3)
             assert report["passed"], report
+
+
+class TestBorelCertificate:
+    # stab_check samples b only for g-trials whose initial ideal the
+    # Hasse-derivative certificate refutes; a certified one passes every b
+
+    @staticmethod
+    def _cases(suite):
+        rng = random.Random(31)
+        ring = PolyRing(VARS)
+        corpus = [
+            IdealHandle(ring, [random_homogeneous(ring, d, rng) for d in pattern])
+            for pattern in ((2, 2), (2, 3)) * 2
+        ]
+        for I in suite[:6] + corpus:
+            weights = [(1, 0)] if I.ring.n == 2 else [(2, 1, 0), (1, 0, 0), (1, 1, 0)]
+            for field in (QQ, PrimeField(32003), PrimeField(7)):
+                for w in weights:
+                    for identity in (False, True):
+                        yield over(field, I), w, identity
+
+    def test_forced_sampling_matches(self, suite, monkeypatch):
+        def reports():
+            return [
+                stab_check(I, w, RandomSpec(24), g_trials=1, b_trials=2, force_identity_g=identity)
+                for I, w, identity in self._cases(suite)
+            ]
+
+        real = reports()
+        monkeypatch.setattr(generic, "_borel_fixed", lambda J, w: False)
+        assert reports() == real
+        # both branches and sampled witnesses are compared
+        assert any(r["passed"] for r in real) and not all(r["passed"] for r in real)
+
+    def test_strongly_stable_certified(self):
+        R3 = PolyRing(VARS)
+        I = IdealHandle(R3, [R3.parse(g) for g in ("x^2", "x*y", "y^2", "x*z")])
+        assert generic._borel_fixed(I, (2, 1, 0))
+        report = stab_check(I, (2, 1, 0), RandomSpec(25), force_identity_g=True)
+        assert report["passed"]
+
+    def test_refuted_by_second_hasse_derivative(self):
+        # D^(1) y^2 = 2*x*y vanishes over GF(2); D^(2) y^2 = x^2 is not in (y^2)
+        R2 = PolyRing(("x", "y"), PrimeField(2))
+        I = IdealHandle(R2, [R2.parse("y^2")])
+        assert not generic._borel_fixed(I, (1, 0))
+        report = stab_check(I, (1, 0), RandomSpec(0), g_trials=1, force_identity_g=True)
+        assert not report["passed"]
+        bad = [r for r in report["trials"][0]["b_results"] if not r["equal"]]
+        assert bad and "witness" in bad[0]
+
+    @pytest.mark.parametrize(
+        "gens, identity, samples",
+        [(["x^2 + x*y + y^2"], False, 0), (["y"], True, 4)],
+        ids=["certified", "refuted"],
+    )
+    def test_samples_only_refuted_trials(self, R, monkeypatch, gens, identity, samples):
+        calls = []
+        real = generic.borel_omega_sample
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(generic, "borel_omega_sample", counting)
+        I = IdealHandle(R, [R.parse(g) for g in gens])
+        stab_check(I, (1, 0), RandomSpec(26), g_trials=1, b_trials=4, force_identity_g=identity)
+        assert len(calls) == samples
