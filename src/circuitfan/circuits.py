@@ -20,18 +20,14 @@ class CircuitsSet:
     """Per-degree antichains of inclusion-minimal monomial supports."""
 
     by_degree: tuple  # tuple of (degree, frozenset of frozensets of monomials)
-    truncation: int = None
     truncated: bool = False
 
     @staticmethod
-    def build(mapping: dict, truncation=None, truncated=False) -> "CircuitsSet":
+    def build(mapping: dict, truncated=False) -> "CircuitsSet":
         items = tuple(
             (d, frozenset(circ)) for d, circ in sorted(mapping.items()) if circ
         )
-        return CircuitsSet(items, truncation, truncated)
-
-    def degrees(self) -> list:
-        return [d for d, _ in self.by_degree]
+        return CircuitsSet(items, truncated)
 
     def circuits(self, d: int) -> frozenset:
         for deg, circ in self.by_degree:
@@ -40,8 +36,8 @@ class CircuitsSet:
         return frozenset()
 
     def __eq__(self, other):
-        # equality of the circuit families; truncation bookkeeping is not
-        # part of the mathematical value
+        # equality of the circuit families; the size-cap flag is not part
+        # of the mathematical value
         return isinstance(other, CircuitsSet) and self.by_degree == other.by_degree
 
     def __hash__(self):
@@ -116,6 +112,9 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
     Returns (frozenset of circuits, truncated); the flag is set when the size
     cap stopped the enumeration early.
     """
+    # the cap is checked first, so a bad one fails whatever the piece holds
+    if size_cap is not None and size_cap < 1:
+        raise ValueError("size_cap must be positive")
     if W.dim == 0:
         return frozenset(), False
     p = W.ring.field.characteristic
@@ -126,11 +125,7 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
     # exists inside any larger set, so circuits never exceed codim+1
     q = W.ncols - W.dim
     max_size = q + 1
-    if size_cap is None:
-        size_cap = n
-    if size_cap < 1:
-        raise ValueError("size_cap must be positive")
-    limit = min(size_cap, max_size, n)
+    limit = min(size_cap or n, max_size, n)
     truncated = limit < min(max_size, n)
     # a monomial whose image vanishes is in the subspace: a singleton circuit
     circuits = {frozenset([m]) for m in candidates if not any(images[m])}
@@ -226,7 +221,7 @@ def circuits_truncated(I, d: int, size_cap: int = None) -> CircuitsSet:
         truncated = truncated or trunc
         if circ:
             mapping[h] = circ
-    return CircuitsSet.build(mapping, truncation=d, truncated=truncated)
+    return CircuitsSet.build(mapping, truncated=truncated)
 
 
 def initial_circuits(T: CircuitsSet, w) -> CircuitsSet:
@@ -239,7 +234,7 @@ def initial_circuits(T: CircuitsSet, w) -> CircuitsSet:
             s for s in selected if not any(o < s for o in selected)
         }
         mapping[d] = minimal
-    return CircuitsSet.build(mapping, truncation=T.truncation, truncated=T.truncated)
+    return CircuitsSet.build(mapping, truncated=T.truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,7 @@ from .circuits import circuits_truncated
 from .generic import RandomSpec, gcs_truncated
 from .groebner import IdealHandle, hilbert_function, initial_split_w, lex_bound
 from .order import CANONICAL, DRL, MonomialOrder, leading_term, weighted
-from .ring import (
-    Polynomial,
-    make_weight,
-    poly_str,
-    weight_value,
-)
+from .ring import Polynomial, initial_support_w, make_weight, poly_str
 
 
 class FanConsistencyError(RuntimeError):
@@ -86,10 +81,6 @@ class FanCell:
     initial_basis: tuple  # canonical reduced basis of the weight initial ideal
 
     @property
-    def fingerprint(self) -> str:
-        return " | ".join(self.initial_basis)
-
-    @property
     def full_dimensional(self) -> bool:
         return not self.cone.equalities
 
@@ -141,16 +132,22 @@ def cone_of(I: IdealHandle, w, tie: MonomialOrder = DRL) -> Cone:
 
 
 def _cell(I: IdealHandle, w, tie: MonomialOrder):
-    """(in_w(I), cone) at w: the cone's equalities tie the maximal exponent
-    vectors of each element that initial_split_w splits, and its inequalities
-    put them above the element's other ones."""
+    """(in_w(I), cone) at w: the cone of the splits of the weight-refined
+    reduced basis that initial_split_w returns with in_w(I)."""
     J, splits = initial_split_w(I, w, tie)
+    return J, _cone(splits)
+
+
+def _cone(splits) -> Cone:
+    """The cone of (maximal monomials, other monomials) splits: equalities
+    tie the maximal monomials of each split, and inequalities put them above
+    the split's other ones."""
     eqs = []
     ins = []
     for initial, rest in splits:
         eqs += [tuple(map(operator.sub, a, b)) for a, b in itertools.combinations(initial, 2)]
         ins += [tuple(map(operator.sub, a, c)) for a in initial for c in rest]
-    return J, Cone.build(eqs, ins)
+    return Cone.build(eqs, ins)
 
 
 # ---------------------------------------------------------------------------
@@ -204,35 +201,25 @@ def newton_fan_oracle(f: Polynomial, B: int = 4, step: int = 1) -> FanSketch:
     """Independent fan oracle for a principal ideal.
 
     The cell of a weight is its argmax set over the exponent vectors of the
-    generator; cones come from pairwise exponent differences.  No Groebner
-    machinery is involved.
+    generator; its cone is that of the one split of the generator's support
+    into the argmax and the rest.  No Groebner machinery is involved.
     """
     if f.is_zero():
         raise ValueError("zero generator")
-    exps = sorted(f.terms)
     cells = []
     seen = set()
     for w in _grid_representatives(f.ring.n, B, step):
-        vals = [weight_value(m, w) for m in exps]
-        top = max(vals)
-        argmax = tuple(m for m, v in zip(exps, vals) if v == top)
+        argmax = initial_support_w(f.terms, w)
         if argmax in seen:
             continue
         seen.add(argmax)
-        rest = [m for m in exps if m not in argmax]
-        eqs = [
-            tuple(x - y for x, y in zip(a, b))
-            for a, b in itertools.combinations(argmax, 2)
-        ]
-        ins = [
-            tuple(x - y for x, y in zip(a, c)) for a in argmax for c in rest
-        ]
         # the monic initial form is the canonical reduced basis of the
         # initial ideal of a principal ideal, as the sampler records it
         form = Polynomial(f.ring, {m: f.terms[m] for m in argmax})
         _, lc = leading_term(form, CANONICAL)
         monic = form.scale(Fraction(1, lc))
-        cells.append(FanCell(tuple(w), Cone.build(eqs, ins), (poly_str(monic),)))
+        cone = _cone([(argmax, f.terms.keys() - argmax)])
+        cells.append(FanCell(tuple(w), cone, (poly_str(monic),)))
     cells.sort(key=lambda c: c.rep_weight, reverse=True)
     return FanSketch(tuple(cells), B, step)
 

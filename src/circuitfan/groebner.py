@@ -6,7 +6,7 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .elim import clear_denominators
@@ -18,6 +18,7 @@ from .ring import (
     dim_degree,
     field_from_spec,
     homogenize_w,
+    initial_support_w,
     make_weight,
     mono_divides,
     monomials_of_degree,
@@ -36,24 +37,22 @@ class CapTooSmallError(ValueError):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A reduced basis under its order.  ``leads`` holds the elements'
+    leading monomials, in the same order; a caller that knows them passes
+    them, and otherwise they are read off the elements.  They follow from
+    order and elements, so equality and hashing ignore them."""
+
     order: MonomialOrder
     elements: tuple  # monic polynomials, ascending by the order key of their leads
+    leads: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
-        # (kernel, divisors) that normal_form packed last, and the elements'
-        # leading monomials where whoever built the basis knew them; not
-        # dataclass fields, so equality and hashing are untouched
+        if self.leads is None:
+            leads = tuple(leading_monomial(g, self.order) for g in self.elements)
+            object.__setattr__(self, "leads", leads)
+        # (kernel, divisors) that normal_form packed last; not a dataclass
+        # field, so equality and hashing are untouched
         object.__setattr__(self, "_divisors", None)
-        object.__setattr__(self, "_leads", None)
-
-    def leading_monomials(self) -> list:
-        if self._leads is not None:
-            return list(self._leads)
-        return [leading_monomial(g, self.order) for g in self.elements]
-
-    def _with_leads(self, leads) -> "GroebnerBasis":
-        object.__setattr__(self, "_leads", tuple(leads))
-        return self
 
 
 def _favours(order: MonomialOrder, diffs, n: int) -> bool:
@@ -95,9 +94,9 @@ class IdealHandle:
         self.ring = ring
         self.generators = tuple(gens)
         self._cache = {}
-        # [elements, leading monomials under their own order, differences] of
-        # each basis that was computed or seeded, recorded when it is stored;
-        # a basis that _reuse returns has those of the one it came from
+        # [basis, differences] of each basis that was computed or seeded,
+        # recorded when it is stored; a basis that _reuse returns has the
+        # differences of the one it came from
         self._held = []
 
     def groebner(self, order: MonomialOrder = CANONICAL) -> GroebnerBasis:
@@ -110,19 +109,19 @@ class IdealHandle:
         return gb
 
     def _hold(self, gb: GroebnerBasis) -> GroebnerBasis:
-        self._held.append([gb.elements, tuple(gb.leading_monomials()), None])
+        self._held.append([gb, None])
         return gb
 
     def _reuse(self, order: MonomialOrder):
         for held in self._held:
-            elements, leads, diffs = held
+            gb, diffs = held
             if diffs is None:
                 # m - t for every other term t of an element with leading
                 # monomial m; made on the first reuse test, so a handle that is
                 # never asked for another order pays nothing
-                diffs = held[2] = [
+                diffs = held[1] = [
                     tuple(map(operator.sub, m, t))
-                    for g, m in zip(elements, leads)
+                    for g, m in zip(gb.elements, gb.leads)
                     for t in g.terms
                     if t != m
                 ]
@@ -130,9 +129,10 @@ class IdealHandle:
             # which has the Hilbert function of in_order(I), so they generate
             # in_order(I) and the monic, reduced held basis is the reduced one
             if _favours(order, diffs, self.ring.n):
-                ranked = sorted(zip(leads, elements), key=lambda p: order.key(p[0]))
-                gb = GroebnerBasis(order, tuple(g for _, g in ranked))
-                return gb._with_leads(m for m, _ in ranked)
+                ranked = sorted(zip(gb.leads, gb.elements), key=lambda p: order.key(p[0]))
+                return GroebnerBasis(
+                    order, tuple(g for _, g in ranked), tuple(m for m, _ in ranked)
+                )
         return None
 
     def is_zero(self) -> bool:
@@ -492,8 +492,11 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
             red[i] = K.reducer(final[i])
 
     final.sort(key=lambda f: f[0][0])
-    gb = GroebnerBasis(order, tuple(K.unpack(f, f[0][2]) for f in final))
-    return gb._with_leads(K.monomial(f[0][1]) for f in final)
+    return GroebnerBasis(
+        order,
+        tuple(K.unpack(f, f[0][2]) for f in final),
+        tuple(K.monomial(f[0][1]) for f in final),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +507,7 @@ def initial_ideal(I: IdealHandle, order: MonomialOrder = CANONICAL) -> IdealHand
     """Monomial ideal of leading monomials of the reduced basis."""
     gb = I.groebner(order)
     ring = I.ring
-    return IdealHandle(ring, [ring.monomial(m) for m in gb.leading_monomials()])
+    return IdealHandle(ring, [ring.monomial(m) for m in gb.leads])
 
 
 def initial_ideal_w(I: IdealHandle, w, tie: MonomialOrder = DRL) -> IdealHandle:
@@ -516,29 +519,27 @@ def initial_ideal_w(I: IdealHandle, w, tie: MonomialOrder = DRL) -> IdealHandle:
 def initial_split_w(I: IdealHandle, w, tie: MonomialOrder = DRL):
     """(in_w(I), splits) from one walk over the weight-refined reduced basis.
 
-    Each element splits once into its terms of maximal weight, which make its
-    initial form, and the rest; splits holds (initial monomials, other
-    monomials) for each element.  An element's lead is its tie-greatest term
-    of greatest weight, so it also leads the form, and the form keeps a
-    subset of the element's tail: sorted by the tie key of their leads, the
-    forms are monic and reduced, a tie-Groebner basis of in_w(I), and the
-    returned handle holds them, with those leads, as its tie-reduced basis."""
+    Each element splits once, by ``initial_support_w``, into its monomials of
+    maximal weight, which carry its initial form, and the rest; splits holds
+    (initial monomials, other monomials) for each element.  An element's lead
+    is its tie-greatest term of greatest weight, so it also leads the form,
+    and the form keeps a subset of the element's tail: sorted by the tie key
+    of their leads, the forms are monic and reduced, a tie-Groebner basis of
+    in_w(I), and the returned handle holds that basis, built with those
+    leads, as its tie-reduced one."""
     order = weighted(w, tie=tie)
     w = order.weight
     gb = I.groebner(order)  # checks the weight's length
     ranked = []
     splits = []
-    for g, lead in zip(gb.elements, gb.leading_monomials()):
-        vals = {m: sum(map(operator.mul, m, w)) for m in g.terms}
-        top = max(vals.values())
-        initial = [m for m, v in vals.items() if v == top]
-        splits.append((initial, [m for m, v in vals.items() if v != top]))
-        form = Polynomial(I.ring, {m: g.terms[m] for m in initial})
+    for g, lead in zip(gb.elements, gb.leads):
+        top = initial_support_w(g.terms, w)
+        splits.append((top, g.terms.keys() - top))
+        form = Polynomial(I.ring, {m: c for m, c in g.terms.items() if m in top})
         ranked.append((tie.key(lead), lead, form))
     ranked.sort(key=lambda r: r[0])
     J = IdealHandle(I.ring, [f for _, _, f in ranked])
-    basis = GroebnerBasis(tie, J.generators)._with_leads(m for _, m, _ in ranked)
-    J._cache[tie] = J._hold(basis)
+    J._cache[tie] = J._hold(GroebnerBasis(tie, J.generators, tuple(m for _, m, _ in ranked)))
     return J, splits
 
 
@@ -569,7 +570,7 @@ class HilbertData:
 def _ideal_dims(I: IdealHandle):
     """dim I_0, dim I_1, ... without end, counted from the canonical initial
     ideal."""
-    lms = [] if I.is_zero() else I.groebner(CANONICAL).leading_monomials()
+    lms = [] if I.is_zero() else I.groebner(CANONICAL).leads
     for d in itertools.count():
         monos = monomials_of_degree(I.ring.n, d) if lms else ()
         yield sum(1 for m in monos if any(mono_divides(l, m) for l in lms))
@@ -643,7 +644,7 @@ def lex_bound(I: IdealHandle, cap: int = None):
     explicit cap reads up to cap instead and raises CapTooSmallError unless it
     passes delta and brings no generator.
     """
-    lms = [] if I.is_zero() else I.groebner(CANONICAL).leading_monomials()
+    lms = [] if I.is_zero() else I.groebner(CANONICAL).leads
     delta = max(map(sum, lms), default=0)
     if cap is None:
         return _lex_read(I.ring, _ideal_dims(I), delta)
@@ -667,15 +668,16 @@ class HomogenizedIdeal:
     generators: tuple  # polynomials in the extended ring
 
 
-def homogenize_ideal_w(I: IdealHandle, w, tie: MonomialOrder = DRL) -> HomogenizedIdeal:
-    """Homogenize the weight-refined reduced basis with an extra variable.
+def homogenize_ideal_w(I: IdealHandle, w) -> HomogenizedIdeal:
+    """Homogenize the degrevlex-tied weight-refined reduced basis with an
+    extra variable.
 
     The resulting family interpolates the ideal (t=1), its weight initial
     ideal (t=0) and its diagonal coordinate changes (t=a, a nonzero).
     """
     w = make_weight(w)
     ring_t = I.ring.extended()
-    gb = I.groebner(weighted(w, tie=tie))
+    gb = I.groebner(weighted(w, tie=DRL))
     gens = tuple(homogenize_w(g, w, ring_t) for g in gb.elements)
     return HomogenizedIdeal(I, w, ring_t, gens)
 

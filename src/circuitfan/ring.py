@@ -218,7 +218,7 @@ def parse_weight(text: str) -> tuple:
 def weight_value(m: Monomial, w) -> int:
     if len(m) != len(w):
         raise ValueError(f"weight {w} has {len(w)} entries for {len(m)} variables")
-    return sum(e * we for e, we in zip(m, w))
+    return sum(map(operator.mul, m, w))
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +252,11 @@ class PolyRing:
     def monomial(self, m: Monomial) -> "Polynomial":
         return Polynomial(self, {tuple(m): self.field.one})
 
-    def extended(self, extra: str = "t") -> "PolyRing":
-        if extra in self.names:
-            raise ValueError(f"variable {extra!r} already declared")
-        return PolyRing(self.names + (extra,), self.field)
+    def extended(self) -> "PolyRing":
+        """The ring with one more variable, t, last."""
+        if "t" in self.names:
+            raise ValueError("variable 't' already declared")
+        return PolyRing(self.names + ("t",), self.field)
 
     def monomial_str(self, m: Monomial) -> str:
         if all(e == 0 for e in m):
@@ -464,7 +465,8 @@ def initial_form_w(f: Polynomial, w) -> Polynomial:
 
 
 def initial_support_w(support, w) -> frozenset:
-    """Subset of a monomial set with maximal weight."""
+    """Subset of a monomial set with maximal weight: the one selection of
+    maximal-weight terms, for initial forms, circuits, ideals and cones."""
     if not support:
         raise ValueError("empty support")
     vals = {m: weight_value(m, w) for m in support}

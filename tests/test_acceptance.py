@@ -146,10 +146,10 @@ def test_07_newton_oracle():
         got = enumerate_fan(IdealHandle(ring, [f]), B)
         want = newton_fan_oracle(f, B)
         assert len(got.cells) == len(want.cells)
-        by_fp = {c.fingerprint: c for c in want.cells}
+        by_basis = {c.initial_basis: c for c in want.cells}
         for c in got.cells:
-            assert c.fingerprint in by_fp
-            assert c.cone == by_fp[c.fingerprint].cone
+            assert c.initial_basis in by_basis
+            assert c.cone == by_basis[c.initial_basis].cone
 
 
 def test_08_generic_fan_certificates(suite):

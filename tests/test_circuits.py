@@ -270,6 +270,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             circuits_truncated(I, 1, size_cap=0)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_bad_size_cap_on_zero_pieces(self, R, cap):
+        # every piece up to degree 1 is zero: the cap fails all the same
+        I = IdealHandle(R, [R.parse("x^2 + 3*x*y - 2*y^2"), R.parse("x*y^2 - y^3")])
+        with pytest.raises(ValueError):
+            circuits_truncated(I, 1, size_cap=cap)
+
 
 class TestMembership:
     def test_examples(self, R):

@@ -411,6 +411,15 @@ class TestExitCodes:
         assert code == 2
         assert doc["truncated_at_size_cap"] == 1
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_bad_size_cap_on_zero_pieces(self, capsys, tmp_path, cap):
+        # the pieces up to degree 1 are zero, and the cap is refused anyway
+        path = tmp_path / "two.ideal"
+        path.write_text("ring: Q; vars: x,y\ngens:\nx^2 + 3*x*y - 2*y^2\nx*y^2 - y^3\n")
+        code, doc = run(capsys, ["circuits", str(path), "--trunc", "1", "--size-cap", cap])
+        assert code == 1
+        assert "error" in doc
+
     def test_zero_denominator_over_q(self, capsys, tmp_path):
         path = tmp_path / "z.ideal"
         path.write_text("ring: Q; vars: x,y\ngens:\nx^2 - 1/0*y^2\n")

@@ -142,22 +142,40 @@ class TestEnumerateFan:
                 B = 3 if n == 2 else 2
                 got = enumerate_fan(IdealHandle(ring, [f]), B)
                 want = newton_fan_oracle(f, B)
-                assert {c.fingerprint for c in got.cells} == {
-                    c.fingerprint for c in want.cells
+                assert {c.initial_basis for c in got.cells} == {
+                    c.initial_basis for c in want.cells
                 }
-                by_fp = {c.fingerprint: c for c in want.cells}
+                by_basis = {c.initial_basis: c for c in want.cells}
                 for c in got.cells:
-                    assert c.cone == by_fp[c.fingerprint].cone
-                for c in got.cells + want.cells:
-                    assert c.fingerprint == " | ".join(c.initial_basis)
+                    assert c.cone == by_basis[c.initial_basis].cone
+
+    def test_oracle_cones_rebuilt_inline(self):
+        # the oracle builds its cones as the sampler does, so here each
+        # oracle cell's rows are rebuilt by hand from its argmax
+        rng = random.Random(52)
+        for names in (("x", "y"), ("x", "y", "z")):
+            ring = PolyRing(names)
+            for _ in range(4):
+                f = random_homogeneous(ring, rng.choice([2, 3]), rng)
+                B = 3 if ring.n == 2 else 2
+                for cell in newton_fan_oracle(f, B).cells:
+                    w = cell.rep_weight
+                    vals = {m: sum(x * y for x, y in zip(m, w)) for m in f.terms}
+                    top = max(vals.values())
+                    argmax = sorted(m for m, v in vals.items() if v == top)
+                    rest = [m for m, v in vals.items() if v != top]
+                    eqs = [
+                        tuple(x - y for x, y in zip(a, b))
+                        for a, b in itertools.combinations(argmax, 2)
+                    ]
+                    ins = [tuple(x - y for x, y in zip(a, c)) for a in argmax for c in rest]
+                    assert cell.cone == Cone.build(eqs, ins), (f, w)
 
     def test_tie_order_irrelevant(self, R):
         I = IdealHandle(R, [R.parse("x^2 - y^2"), R.parse("x*y")])
         a = enumerate_fan(I, 3, tie=DRL)
         b = enumerate_fan(I, 3, tie=LEX)
-        assert {c.fingerprint for c in a.cells} == {c.fingerprint for c in b.cells}
-        for c in a.cells:
-            assert c.fingerprint == " | ".join(c.initial_basis)
+        assert {c.initial_basis for c in a.cells} == {c.initial_basis for c in b.cells}
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "GF32003"])
     def test_cells_match_cold_bases(self, suite, field):

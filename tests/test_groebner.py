@@ -703,7 +703,7 @@ class TestBasisCache:
                 gb = I.groebner(order)
                 assert gb.elements == buchberger_reduced(fresh(I), order).elements, (I, order)
                 # the leading monomials that Buchberger or the reuse test recorded
-                assert gb._leads == tuple(leading_monomial(g, order) for g in gb.elements)
+                assert gb.leads == tuple(leading_monomial(g, order) for g in gb.elements)
         # some misses were answered without Buchberger, so the shortcut ran
         assert len(buchberger_calls) < misses
 
@@ -720,7 +720,21 @@ class TestBasisCache:
                 # the seeded basis carries the leads of the elements it came from
                 seeded = J.groebner(order.tie)
                 leads = tuple(leading_monomial(g, order.tie) for g in seeded.elements)
-                assert seeded._leads == leads, (I, order)
+                assert seeded.leads == leads, (I, order)
+
+    @pytest.mark.parametrize("order", [LEX, DRL, weighted((0, 1, 2), LEX)], ids=str)
+    def test_leads_read_off_when_omitted(self, suite, order):
+        # a hand-built basis reads the leads a Buchberger run passes, and the
+        # leads take no part in equality or hashing
+        for I in suite[:6]:
+            if I.ring.n != 3:
+                continue
+            gb = buchberger_reduced(fresh(I), order)
+            bare = GroebnerBasis(order, gb.elements)
+            assert bare.leads == gb.leads, (I, order)
+            wrong = GroebnerBasis(order, gb.elements, tuple(reversed(gb.leads)))
+            assert bare == gb == wrong
+            assert hash(bare) == hash(gb) == hash(wrong)
 
     def test_changed_leading_monomial_is_not_reused(self, R):
         I = IdealHandle(R, [R.parse("x^2 - y^2")])

@@ -236,6 +236,10 @@ class TestHomogenize:
         Rt = R.extended()
         assert homogenize_w(f, (1, 0)) == Rt.parse("x^2 + x*y*t")
 
+    def test_extended_ring_refuses_a_declared_t(self):
+        with pytest.raises(ValueError, match="already declared"):
+            PolyRing(("x", "t")).extended()
+
     def test_weight_homogeneous_input_unchanged(self, R):
         f = R.parse("x^2 + x*y")
         ft = homogenize_w(f, (1, 1))
