@@ -275,5 +275,5 @@ def alpha_vector(W: GradedMatrix, w) -> AlphaVector:
     values = []
     for a in range(top, 0, -1):
         S = [m for m in monos if weight_value(m, w) < a]
-        values.append(rank_rel(W, S, "sup") if S else W.dim)
+        values.append(rank_rel(W, S) if S else W.dim)
     return AlphaVector(d, w, tuple(values))

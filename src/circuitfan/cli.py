@@ -32,6 +32,7 @@ from .generic import (
 )
 from .groebner import (
     CapTooSmallError,
+    IdealHandle,
     MacaulayError,
     basis_json,
     hilbert_function,
@@ -44,7 +45,6 @@ from .groebner import (
 from .linalg import graded_basis
 from .order import parse_order
 from .ring import field_from_spec, parse_weight, poly_str, Polynomial, PolyRing
-from .groebner import IdealHandle
 
 SEED_ENV = "CIRCUITFAN_SEED"
 

@@ -2,11 +2,11 @@
 
 The one place where the package does Gaussian elimination, and it has one
 loop: ``residual``, the fraction-free reduction of a vector against an
-``echelon``.  Ranks, reduced row echelon forms and inverses are all read
-off echelons.  Every function takes the field's characteristic ``p``: 0
-for the rationals (rows of integers, or of fractions where stated), a
-prime for GF(p); only ``inverse`` makes Fractions.  Also the clearing of
-rational vectors to integer ones.  Imports nothing from the package.
+``echelon``.  Ranks and reduced row echelon forms are read off echelons.
+Every function takes the field's characteristic ``p``: 0 for the rationals
+(rows of integers, or of fractions where stated), a prime for GF(p); every
+function returns ints.  Also the clearing of rational vectors to integer
+ones.  Imports nothing from the package.
 """
 from __future__ import annotations
 
@@ -16,10 +16,9 @@ from fractions import Fraction
 
 def rref(rows, p: int = 0):
     """Reduced row echelon form, unique for the span, over Q (``p`` 0; ints
-    or Fractions) or GF(p); returns (rows, pivot columns).  Each row of the
-    ``echelon``, sorted by pivot column, is reduced against the later ones,
-    which leaves it primitive over Q; then its pivot is made positive (Q)
-    or 1 (GF(p))."""
+    or Fractions) or GF(p), as int tuples.  Each row of the ``echelon``,
+    sorted by pivot column, is reduced against the later ones, which leaves
+    it primitive over Q; then its pivot is made positive (Q) or 1 (GF(p))."""
     if not p:
         rows = [clear_denominators(r) for r in rows]
     ech = sorted(echelon(rows, p), key=lambda e: e[0])
@@ -32,7 +31,7 @@ def rref(rows, p: int = 0):
         elif r[col] < 0:
             r = [-x for x in r]
         out.append(tuple(r))
-    return out, [col for col, _ in ech]
+    return out
 
 
 def rank_bareiss(rows, p: int = 0) -> int:
@@ -84,18 +83,6 @@ def residual(ech, v, p: int = 0) -> list:
         if g > 1:
             v = [x // g for x in v]
     return v
-
-
-def inverse(rows, p: int = 0) -> tuple:
-    """Inverse of a square matrix over Q (``p`` 0; Fraction entries) or
-    GF(p): the right half of each ``rref`` row of ``[M | I]`` divided by its
-    pivot; raises ValueError when M is singular."""
-    n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    ech, pivots = rref(aug, p)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(r[n:] if p else tuple(Fraction(x, r[i]) for x in r[n:]) for i, r in enumerate(ech))
 
 
 def clear_denominators(values) -> tuple:

@@ -90,7 +90,6 @@ class FanSketch:
     cells: tuple
     box: int
     step: int
-    seed: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -104,7 +103,7 @@ class FanSketch:
             ],
             "box": self.box,
             "step": self.step,
-            "seed": self.seed,
+            "seed": 0,
         }
 
 

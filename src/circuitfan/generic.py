@@ -7,7 +7,6 @@ import random
 from dataclasses import dataclass
 
 from .circuits import CircuitsSet, circuits_truncated
-from .elim import inverse
 from .groebner import IdealHandle, initial_ideal_w, normal_form, transform_ideal
 from .ring import PolyRing, Polynomial, Substitution, make_weight, poly_str, residue
 
@@ -43,7 +42,7 @@ def random_change(spec: RandomSpec, ring: PolyRing, stream: int = 0) -> Substitu
     return _random_invertible(_rng(spec, stream), ring, spec.entry_bound)
 
 
-def normalize_weight(w, n: int = None):
+def normalize_weight(w):
     """Sort a weight non-increasingly and shift it non-negative.
 
     Returns (sorted weight, permutation, shift): ``sorted[i] = w[perm[i]] +
@@ -51,10 +50,6 @@ def normalize_weight(w, n: int = None):
     initial forms of degree-homogeneous polynomials unchanged.
     """
     w = make_weight(w)
-    if n is not None:
-        if len(w) > n:
-            raise ValueError("weight longer than the variable count")
-        w = w + (0,) * (n - len(w))
     shift = max(0, -min(w)) if w else 0
     shifted = tuple(x + shift for x in w)
     perm = tuple(
@@ -125,9 +120,6 @@ class BorelOmegaElement:
 
     def as_substitution(self, ring: PolyRing) -> Substitution:
         return Substitution(ring, self.matrix, convention="column")
-
-    def inverse(self) -> "BorelOmegaElement":
-        return BorelOmegaElement(self.weight, inverse(self.matrix, self.field.characteristic), self.field)
 
 
 def borel_omega_sample(w, spec: RandomSpec, field, stream: int = 0) -> BorelOmegaElement:

@@ -10,7 +10,6 @@ from .ring import (
     Polynomial,
     PolyRing,
     initial_form_w,
-    mono_degree,
     monomials_of_degree,
 )
 
@@ -83,7 +82,7 @@ def span_matrix(ring: PolyRing, degree: int, polys, order: MonomialOrder = CANON
                 raise ValueError("polynomial not homogeneous of the requested degree")
             row[index[m]] = c
         raw.append(row)
-    rows, _ = rref(raw, ring.field.characteristic)
+    rows = rref(raw, ring.field.characteristic)
     return GradedMatrix(ring, degree, order, tuple(basis), tuple(rows))
 
 
@@ -105,16 +104,12 @@ def graded_basis(ideal, d: int) -> GradedMatrix:
     return span_matrix(ring, d, polys)
 
 
-def rank_rel(W: GradedMatrix, S, mode: str) -> int:
-    """Relative ranks of a monomial set against a subspace.
-
-    mode "sub": dim(W + <S>) - dim W;  mode "sup": dim(W + <S>) - |S|.
-    """
-    if mode not in ("sub", "sup"):
-        raise ValueError("mode must be 'sub' or 'sup'")
+def rank_rel(W: GradedMatrix, S) -> int:
+    """Relative rank of a set S of distinct degree-d monomials against a
+    subspace W of the degree-d piece: dim(W + <S>) - |S|."""
     S = list(S)
     for m in S:
-        if mono_degree(m) != W.degree:
+        if sum(m) != W.degree:
             raise ValueError(f"monomial {m} has wrong degree")
     if len(set(S)) != len(S):
         raise ValueError("monomial set has repeats")
@@ -124,10 +119,7 @@ def rank_rel(W: GradedMatrix, S, mode: str) -> int:
         row = [0] * W.ncols
         row[index[m]] = 1
         rows.append(row)
-    total = exact_rank(rows, W.ring.field.characteristic)
-    if mode == "sub":
-        return total - W.dim
-    return total - len(S)
+    return exact_rank(rows, W.ring.field.characteristic) - len(S)
 
 
 def reechelon(W: GradedMatrix, order: MonomialOrder) -> GradedMatrix:

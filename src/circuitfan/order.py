@@ -35,17 +35,6 @@ class MonomialOrder:
             return canonical_key(m)
         return (weight_value(m, self.weight),) + self.tie.key(m)
 
-    def compare(self, m1: Monomial, m2: Monomial) -> int:
-        """-1, 0 or 1 as m1 is below, equal to or above m2."""
-        if len(m1) != len(m2):
-            raise ValueError("monomials of different dimension")
-        k1, k2 = self.key(m1), self.key(m2)
-        if k1 < k2:
-            return -1
-        if k1 > k2:
-            return 1
-        return 0
-
     def __str__(self):
         if self.kind == "weight":
             return f"w:{','.join(str(x) for x in self.weight)};tie={self.tie}"

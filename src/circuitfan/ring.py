@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elim import clear_denominators, echelon, inverse
+from .elim import clear_denominators, echelon
 
 Monomial = tuple  # tuple[int, ...]
 
@@ -157,10 +157,6 @@ def residue(c, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # monomials
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -311,9 +307,6 @@ class Polynomial:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
-    def support(self) -> frozenset:
-        return frozenset(self.terms)
-
     # -- arithmetic
 
     def _check(self, other: "Polynomial"):
@@ -352,9 +345,6 @@ class Polynomial:
     def mul_monomial(self, m: Monomial) -> "Polynomial":
         return Polynomial(self.ring, {mono_mul(m, k): c for k, c in self.terms.items()})
 
-    def coefficient(self, m: Monomial):
-        return self.terms.get(tuple(m), self.ring.field.zero)
-
     # -- canonical form
 
     def sorted_terms(self) -> list:
@@ -382,7 +372,7 @@ class Polynomial:
 # text grammar
 
 
-_TERM_SPLIT = re.compile(r"[+-][^+\-]+")
+_TERM_SPLIT = re.compile(r"[+-](?:\^[+-]|[^+\-])+")
 _COEFF_RE = re.compile(r"\d+(?:/\d+)?")
 
 
@@ -474,7 +464,7 @@ def initial_support_w(support, w) -> frozenset:
     return frozenset(m for m in support if vals[m] == top)
 
 
-def homogenize_w(f: Polynomial, w, ring_t: PolyRing = None) -> Polynomial:
+def homogenize_w(f: Polynomial, w, ring_t: PolyRing) -> Polynomial:
     """Homogenize f with respect to a weight using an extra last variable.
 
     Each term X^a picks up t^(maxweight - w.a); evaluating t=1 recovers f and
@@ -482,8 +472,6 @@ def homogenize_w(f: Polynomial, w, ring_t: PolyRing = None) -> Polynomial:
     """
     if f.is_zero():
         raise ValueError("cannot homogenize the zero polynomial")
-    if ring_t is None:
-        ring_t = f.ring.extended()
     vals = {m: weight_value(m, w) for m in f.terms}
     top = max(vals.values())
     terms = {m + (top - vals[m],): c for m, c in f.terms.items()}
@@ -516,7 +504,7 @@ class Substitution:
     term then makes one Fraction over Q, or is reduced mod p by Polynomial.
     """
 
-    __slots__ = ("ring", "matrix", "convention", "_forms", "_den")
+    __slots__ = ("ring", "matrix", "_forms", "_den")
 
     def __init__(self, ring: PolyRing, matrix, convention: str = "row"):
         if convention not in ("row", "column"):
@@ -529,7 +517,6 @@ class Substitution:
             raise ValueError("substitution matrix has wrong shape")
         self.ring = ring
         self.matrix = rows
-        self.convention = convention
         self._den = den = 1 if p else math.lcm(*(x.denominator for r in rows for x in r))
         ints = rows if p else [[x.numerator * (den // x.denominator) for x in r] for r in rows]
         if len(echelon(ints, p)) != n:
@@ -572,10 +559,6 @@ class Substitution:
             return Polynomial(self.ring, out)
         lcd *= den**top
         return Polynomial(self.ring, {u: Fraction(c, lcd) for u, c in out.items() if c})
-
-    def inverse(self) -> "Substitution":
-        inv = inverse(self.matrix, self.ring.field.characteristic)
-        return Substitution(self.ring, inv, self.convention)
 
     @staticmethod
     def identity(ring: PolyRing) -> "Substitution":

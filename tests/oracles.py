@@ -79,7 +79,7 @@ def circuits_bruteforce(W: GradedMatrix) -> frozenset:
     for size in range(1, len(monos) + 1):
         for combo in itertools.combinations(monos, size):
             s = frozenset(combo)
-            dependent[s] = rank_rel(W, combo, "sub") < len(combo)
+            dependent[s] = rank_rel(W, combo) + len(combo) - W.dim < len(combo)
     circuits = set()
     for s, dep in dependent.items():
         if not dep:
@@ -129,17 +129,18 @@ def poly_str_reference(f) -> str:
     return " ".join(pieces)
 
 
-def substitution_apply_reference(s: Substitution, f: Polynomial) -> Polynomial:
-    """``Substitution.apply`` term by term in polynomial arithmetic: each
-    variable's image polynomial, its powers by repeated multiplication, and
-    each term's product added to the running sum."""
+def substitution_apply_reference(s: Substitution, f: Polynomial, convention: str) -> Polynomial:
+    """``Substitution.apply`` term by term in polynomial arithmetic, for s
+    built with the given convention: each variable's image polynomial, its
+    powers by repeated multiplication, and each term's product added to the
+    running sum."""
     ring = s.ring
     n = ring.n
     images = []
     for k in range(n):
         terms = {}
         for j in range(n):
-            c = s.matrix[k][j] if s.convention == "row" else s.matrix[j][k]
+            c = s.matrix[k][j] if convention == "row" else s.matrix[j][k]
             if c:
                 e = [0] * n
                 e[j] = 1

@@ -170,7 +170,7 @@ def test_09_borel_invariance(suite):
         for w in weights:
             if len(w) > n:
                 continue
-            sorted_w, _, _ = normalize_weight(w, n)
+            sorted_w, _, _ = normalize_weight(w + (0,) * (n - len(w)))
             report = stab_check(I, sorted_w, RandomSpec(91), g_trials=2, b_trials=5)
             assert report["passed"], (I.generators, sorted_w)
     # negative control: without a generic change the invariance fails

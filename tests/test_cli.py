@@ -398,6 +398,13 @@ class TestExitCodes:
         assert code == 1
         assert "error" in doc
 
+    def test_parse_error_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "signed.ideal"
+        path.write_text("ring: Q; vars: x,y\ngens:\nx^-1*y\n")
+        code, doc = run(capsys, ["gb", str(path)])
+        assert code == 1
+        assert doc["error"] == {"kind": "ValueError", "reason": "line 3: bad exponent in 'x^-1'"}
+
     def test_inhomogeneous_rejected(self, capsys, tmp_path):
         path = tmp_path / "inh.ideal"
         path.write_text("ring: Q; vars: x,y\ngens:\nx^2 + y\n")

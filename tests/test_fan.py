@@ -194,7 +194,7 @@ class TestEnumerateFan:
                     assert cell.initial_basis == tuple(poly_str(g) for g in want), (I, tie, w)
                     eqs, ins = [], []
                     for g in basis:
-                        top = initial_support_w(g.support(), w)
+                        top = initial_support_w(g.terms, w)
                         eqs += [
                             tuple(x - y for x, y in zip(a, b))
                             for a, b in itertools.combinations(sorted(top), 2)
@@ -202,7 +202,7 @@ class TestEnumerateFan:
                         ins += [
                             tuple(x - y for x, y in zip(a, c))
                             for a in top
-                            for c in g.support() - top
+                            for c in g.terms.keys() - top
                         ]
                     assert cell.cone == Cone.build(eqs, ins), (I, tie, w)
 
