@@ -3,16 +3,10 @@ and the filtration rank vector."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .linalg import GradedMatrix, exact_rank, graded_basis, rank_rel
-from .ring import (
-    canonical_key,
-    initial_support_w,
-    make_weight,
-    monomials_of_degree,
-    weight_value,
-)
+from .linalg import GradedMatrix, exact_rank, graded_basis, weight_echelon
+from .ring import canonical_key, initial_support_w, make_weight, weight_value
 
 
 @dataclass(frozen=True)
@@ -20,7 +14,8 @@ class CircuitsSet:
     """Per-degree antichains of inclusion-minimal monomial supports."""
 
     by_degree: tuple  # tuple of (degree, frozenset of frozensets of monomials)
-    truncated: bool = False
+    # the size-cap flag is not part of the mathematical value
+    truncated: bool = field(default=False, compare=False)
 
     @staticmethod
     def build(mapping: dict, truncated=False) -> "CircuitsSet":
@@ -34,14 +29,6 @@ class CircuitsSet:
             if deg == d:
                 return circ
         return frozenset()
-
-    def __eq__(self, other):
-        # equality of the circuit families; the size-cap flag is not part
-        # of the mathematical value
-        return isinstance(other, CircuitsSet) and self.by_degree == other.by_degree
-
-    def __hash__(self):
-        return hash(self.by_degree)
 
     def to_json(self, ring) -> list:
         out = []
@@ -265,15 +252,17 @@ class AlphaVector:
 
 def alpha_vector(W: GradedMatrix, w) -> AlphaVector:
     """Relative ranks of the subspace against the filtration of monomials of
-    bounded weight, largest threshold first."""
+    bounded weight, largest threshold first.
+
+    The rank relative to the monomials of weight below a is the number of
+    ``weight_echelon`` rows whose leading monomial weighs at least a: W
+    meets their span in the span of the rows with lighter leads.
+    """
     w = make_weight(w)
     if list(w) != sorted(w, reverse=True) or (w and w[-1] < 0):
         raise ValueError("weight must be sorted non-increasing and non-negative")
     d = W.degree
     top = (w[0] if w else 0) * d
-    monos = monomials_of_degree(W.ring.n, d)
-    values = []
-    for a in range(top, 0, -1):
-        S = [m for m in monos if weight_value(m, w) < a]
-        values.append(rank_rel(W, S) if S else W.dim)
-    return AlphaVector(d, w, tuple(values))
+    lead_weights = [max(weight_value(m, w) for m in f.terms) for f in weight_echelon(W, w)]
+    values = tuple(sum(v >= a for v in lead_weights) for a in range(top, 0, -1))
+    return AlphaVector(d, w, values)

@@ -127,14 +127,7 @@ def cone_of(I: IdealHandle, w, tie: MonomialOrder = DRL) -> Cone:
     For each reduced-basis element: equalities between tied maximal exponent
     vectors, weak inequalities from maximal against non-maximal ones.
     """
-    return _cell(I, w, tie)[1]
-
-
-def _cell(I: IdealHandle, w, tie: MonomialOrder):
-    """(in_w(I), cone) at w: the cone of the splits of the weight-refined
-    reduced basis that initial_split_w returns with in_w(I)."""
-    J, splits = initial_split_w(I, w, tie)
-    return J, _cone(splits)
+    return _cone(initial_split_w(I, w, tie)[1])
 
 
 def _cone(splits) -> Cone:
@@ -182,7 +175,8 @@ def enumerate_fan(I: IdealHandle, B: int, step: int = 1, tie: MonomialOrder = DR
                     cells.insert(0, cells.pop(i))
                 break
         else:
-            J, cone = _cell(I, w, tie)
+            J, splits = initial_split_w(I, w, tie)
+            cone = _cone(splits)
             gens = tuple(poly_str(g) for g in J.groebner(CANONICAL).elements)
             if gens in seen:
                 raise FanConsistencyError(

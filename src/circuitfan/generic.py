@@ -12,7 +12,8 @@ from .ring import PolyRing, Polynomial, Substitution, make_weight, poly_str, res
 
 
 class UncertifiedError(RuntimeError):
-    """Two-witness certification failed after all retries."""
+    """A randomized step ran out of draws: two-witness certification failed
+    after all retries, or no invertible change was sampled."""
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,7 @@ def _random_invertible(rng: random.Random, ring: PolyRing, bound: int):
             return Substitution(ring, m, convention="row")
         except ValueError:
             continue
-    raise RuntimeError("could not sample an invertible matrix")
+    raise UncertifiedError("could not sample an invertible matrix")
 
 
 def random_change(spec: RandomSpec, ring: PolyRing, stream: int = 0) -> Substitution:

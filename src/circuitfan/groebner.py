@@ -663,8 +663,6 @@ def lex_bound(I: IdealHandle, cap: int = None):
 @dataclass(frozen=True)
 class HomogenizedIdeal:
     base: IdealHandle
-    weight: tuple
-    ring_t: PolyRing
     generators: tuple  # polynomials in the extended ring
 
 
@@ -679,7 +677,7 @@ def homogenize_ideal_w(I: IdealHandle, w) -> HomogenizedIdeal:
     ring_t = I.ring.extended()
     gb = I.groebner(weighted(w, tie=DRL))
     gens = tuple(homogenize_w(g, w, ring_t) for g in gb.elements)
-    return HomogenizedIdeal(I, w, ring_t, gens)
+    return HomogenizedIdeal(I, gens)
 
 
 def specialize_t(H: HomogenizedIdeal, a) -> IdealHandle:

@@ -1,33 +1,28 @@
-"""Exact linear algebra on graded pieces: coordinate matrices, ranks and
-relative rank functionals."""
+"""Exact linear algebra on graded pieces: coordinate matrices, ranks,
+relative rank functionals and weight echelons."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .elim import clear_denominators, rank_bareiss, rref
-from .order import CANONICAL, DRL, MonomialOrder, weighted
-from .ring import (
-    Polynomial,
-    PolyRing,
-    initial_form_w,
-    monomials_of_degree,
-)
+from .elim import clear_denominators, echelon, rank_bareiss, rref
+from .order import DRL, MonomialOrder, weighted
+from .ring import Polynomial, PolyRing, initial_form_w, monomials_of_degree
 
 
 @dataclass(frozen=True)
 class GradedMatrix:
     """Reduced row echelon basis of a subspace of the degree-d graded piece.
 
-    Columns are indexed by the degree-d monomials, listed in descending
-    column order; the ``rref`` rows of ints span the subspace: primitive
-    with a positive pivot over Q, monic in [0, p) over GF(p), so an entry is
-    zero exactly when it is falsy.
+    Columns are indexed by the degree-d monomials in canonical (degrevlex)
+    descending order, the one column order of every graded piece; the
+    ``rref`` rows of ints span the subspace: primitive with a positive pivot
+    over Q, monic in [0, p) over GF(p), so an entry is zero exactly when it
+    is falsy.  Other orders are read through ``weight_echelon``.
     """
 
     ring: PolyRing
     degree: int
-    order: MonomialOrder
-    basis: tuple  # monomials, descending in `order`
+    basis: tuple  # monomials, canonically descending
     rows: tuple  # tuple of int tuples, in reduced echelon form
 
     @property
@@ -68,9 +63,9 @@ def exact_rank(rows, p: int) -> int:
 # graded matrices
 
 
-def span_matrix(ring: PolyRing, degree: int, polys, order: MonomialOrder = CANONICAL) -> GradedMatrix:
+def span_matrix(ring: PolyRing, degree: int, polys) -> GradedMatrix:
     """Echelonized coordinate matrix of the span of degree-d polynomials."""
-    basis = sorted(monomials_of_degree(ring.n, degree), key=order.key, reverse=True)
+    basis = monomials_of_degree(ring.n, degree)
     index = {m: j for j, m in enumerate(basis)}
     raw = []
     for f in polys:
@@ -83,7 +78,7 @@ def span_matrix(ring: PolyRing, degree: int, polys, order: MonomialOrder = CANON
             row[index[m]] = c
         raw.append(row)
     rows = rref(raw, ring.field.characteristic)
-    return GradedMatrix(ring, degree, order, tuple(basis), tuple(rows))
+    return GradedMatrix(ring, degree, tuple(basis), tuple(rows))
 
 
 def graded_basis(ideal, d: int) -> GradedMatrix:
@@ -122,18 +117,26 @@ def rank_rel(W: GradedMatrix, S) -> int:
     return exact_rank(rows, W.ring.field.characteristic) - len(S)
 
 
-def reechelon(W: GradedMatrix, order: MonomialOrder) -> GradedMatrix:
-    """The same subspace echelonized against a different column order."""
-    if order == W.order:
-        return W
-    return span_matrix(W.ring, W.degree, W.row_polynomials(), order)
+def weight_echelon(W: GradedMatrix, w, tie: MonomialOrder = DRL) -> list:
+    """A basis of W whose leading monomials in the w-weight order refined by
+    ``tie`` are distinct: one ``echelon`` of W's rows on its columns sorted
+    descending in that order, as polynomials.
+
+    A combination of the rows leads with the largest lead among its rows, so
+    their initial forms span in_w(W), and the weights of their leads are the
+    weights of in_w(W)'s components, with multiplicity.
+    """
+    key = weighted(w, tie).key
+    cols = sorted(range(W.ncols), key=lambda j: key(W.basis[j]), reverse=True)
+    rows = echelon([[r[j] for j in cols] for r in W.rows], W.ring.field.characteristic)
+    return [
+        Polynomial(W.ring, {W.basis[j]: c for j, c in zip(cols, row) if c})
+        for _, row in rows
+    ]
 
 
 def initial_space_w(W: GradedMatrix, w, tie: MonomialOrder = DRL) -> GradedMatrix:
-    """Span of the weight initial forms of the subspace, canonical columns."""
-    if W.dim == 0:
-        return span_matrix(W.ring, W.degree, [], CANONICAL)
-    weighted_order = weighted(w, tie=tie)
-    ech = reechelon(W, weighted_order)
-    forms = [initial_form_w(f, w) for f in ech.row_polynomials()]
-    return span_matrix(W.ring, W.degree, forms, CANONICAL)
+    """The weight initial space in_w(W): the span of the initial forms of
+    the ``weight_echelon``."""
+    forms = [initial_form_w(f, w) for f in weight_echelon(W, w, tie)]
+    return span_matrix(W.ring, W.degree, forms)

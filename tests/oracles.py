@@ -3,14 +3,15 @@ GF(p), brute-force circuit enumeration straight from the rank criterion,
 with no pruning and no quotient-space shortcut, and the plain formatting of
 circuits sets and polynomials, by key lists and scalar comparisons, and the
 term-by-term expansion of a substitution; and the helpers that only tests
-use: monomial quotients, diagonal changes, weight component dimensions,
-ideal file text and Borel matrix products."""
+use: monomial quotients, diagonal changes, weight component dimensions and
+initial spaces by Gauss-Jordan on weight-sorted columns, ideal file text
+and Borel matrix products."""
 import itertools
 from fractions import Fraction
 
 from circuitfan.generic import BorelOmegaElement
 from circuitfan.groebner import IdealHandle
-from circuitfan.linalg import GradedMatrix, rank_rel, reechelon
+from circuitfan.linalg import GradedMatrix, rank_rel
 from circuitfan.order import DRL, MonomialOrder, weighted
 from circuitfan.ring import (
     Monomial,
@@ -18,7 +19,6 @@ from circuitfan.ring import (
     PolyRing,
     Substitution,
     canonical_key,
-    initial_form_w,
     monomials_of_degree,
     poly_str,
     weight_value,
@@ -183,17 +183,39 @@ def diagonal_change(ring: PolyRing, w, a) -> Substitution:
     return Substitution(ring, m)
 
 
+def weight_rref_reference(W: GradedMatrix, w, tie: MonomialOrder = DRL):
+    """Gauss-Jordan form of W's rows on its monomials sorted descending in
+    the w-weight order refined by ``tie``: (the sorted monomials, rows,
+    pivot columns).  Each row's pivot is its leading monomial."""
+    cols = sorted(W.basis, key=weighted(w, tie=tie).key, reverse=True)
+    index = {m: j for j, m in enumerate(W.basis)}
+    raw = [[r[index[m]] for m in cols] for r in W.rows]
+    rows, pivots = rref_reference(raw, W.ring.field.characteristic)
+    return cols, rows, pivots
+
+
 def weight_component_dims(W: GradedMatrix, w, tie: MonomialOrder = DRL) -> dict:
-    """Dimensions of the weight components of the weight initial space."""
-    if W.dim == 0:
-        return {}
-    ech = reechelon(W, weighted(w, tie=tie))
+    """Dimensions of the weight components of the weight initial space: the
+    weights of W's Gauss-Jordan pivots on weight-sorted columns."""
+    cols, _, pivots = weight_rref_reference(W, w, tie)
     dims = {}
-    for f in ech.row_polynomials():
-        form = initial_form_w(f, w)
-        a = weight_value(next(iter(form.terms)), w)
+    for j in pivots:
+        a = weight_value(cols[j], w)
         dims[a] = dims.get(a, 0) + 1
     return dims
+
+
+def initial_space_reference(W: GradedMatrix, w, tie: MonomialOrder = DRL) -> list:
+    """Gauss-Jordan rows, on W's canonical columns, of the span of the
+    initial forms of W's Gauss-Jordan rows on weight-sorted columns: each
+    row's terms of its pivot's weight."""
+    cols, rows, pivots = weight_rref_reference(W, w, tie)
+    forms = []
+    for r, j in zip(rows, pivots):
+        top = weight_value(cols[j], w)
+        form = {m: c for m, c in zip(cols, r) if weight_value(m, w) == top}
+        forms.append([form.get(m, 0) for m in W.basis])
+    return rref_reference(forms, W.ring.field.characteristic)[0]
 
 
 def ideal_file_text(I: IdealHandle) -> str:

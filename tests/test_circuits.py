@@ -18,6 +18,7 @@ from circuitfan import (
     initial_space_w,
     is_circuit,
     random_change,
+    rank_rel,
     span_matrix,
     transform_ideal,
 )
@@ -265,6 +266,15 @@ class TestEnumeration:
         assert cs.truncated
         assert cs.circuits(3) == frozenset()
 
+    def test_truncation_flag_not_compared(self):
+        # the size-cap flag is not part of the value: equal, equally hashed,
+        # one dict key
+        m = {1: {frozenset({X, Y})}, 2: {frozenset({X2}), frozenset({XY, Y2})}}
+        capped, full = CircuitsSet.build(m, truncated=True), CircuitsSet.build(m)
+        assert capped.truncated and not full.truncated
+        assert capped == full and hash(capped) == hash(full)
+        assert len({capped: 0, full: 1}) == 1
+
     def test_bad_size_cap(self, R):
         I = IdealHandle(R, [R.parse("x")])
         with pytest.raises(ValueError):
@@ -345,6 +355,25 @@ class TestAlpha:
             alpha_vector(W, (0, 1))
         with pytest.raises(ValueError):
             alpha_vector(W, (1, -1))
+
+    @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(32003)], ids=str)
+    def test_matches_relative_ranks(self, fld):
+        # each value is rank_rel against the monomials lighter than its
+        # threshold, or dim W where there are none
+        rng = random.Random(45)
+        R3 = PolyRing(("x", "y", "z"), fld)
+        for _ in range(15):
+            d = rng.choice([1, 2, 3])
+            W = span_matrix(
+                R3, d, [random_homogeneous(R3, d, rng) for _ in range(rng.randint(0, 4))]
+            )
+            w = tuple(sorted((rng.randint(0, 3) for _ in range(3)), reverse=True))
+            monos = monomials_of_degree(3, d)
+            expected = []
+            for a in range(w[0] * d, 0, -1):
+                S = [m for m in monos if sum(x * y for x, y in zip(m, w)) < a]
+                expected.append(rank_rel(W, S) if S else W.dim)
+            assert alpha_vector(W, w).values == tuple(expected)
 
     def test_comparison_contract(self):
         a = AlphaVector(2, (1, 0), (1, 1))

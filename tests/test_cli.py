@@ -513,6 +513,16 @@ class TestExitCodes:
         assert "circuits" not in doc
         assert doc["error"]["kind"] == "ValueError"
 
+    def test_exhausted_sampler_exit_2(self, capsys, tmp_path, monkeypatch):
+        # a sampler that draws only singular matrices ends in a document
+        monkeypatch.setattr(circuitfan.RationalField, "random", lambda self, rng, bound: 0)
+        path = tmp_path / "two.ideal"
+        path.write_text("ring: Q; vars: x,y\ngens:\nx^2 + 3*x*y - 2*y^2\nx*y^2 - y^3\n")
+        code, doc = run(capsys, ["gcs", str(path), "--trunc", "2"])
+        assert code == 2
+        assert "circuits" not in doc
+        assert doc["error"]["kind"] == "UncertifiedError"
+
     def test_weight_length_mismatch(self, capsys, pair_file):
         code, doc = run(capsys, ["gb", pair_file, "--order", "w:1;tie=drl"])
         assert code == 1

@@ -127,6 +127,13 @@ class TestGcs:
             gcs_truncated(I, 3, RandomSpec(0, entry_bound=1), retries=retries)
         assert seen == drawn
 
+    @pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=str)
+    def test_exhausted_sampler_uncertified(self, monkeypatch, fld):
+        # every draw is the zero matrix: the budget runs out without a change
+        monkeypatch.setattr(type(fld), "random", lambda self, rng, bound: 0)
+        with pytest.raises(UncertifiedError, match="invertible"):
+            random_change(RandomSpec(0), PolyRing(("x", "y"), fld))
+
 
 class TestBorelOmega:
     def test_validation(self):

@@ -6,12 +6,14 @@ import pytest
 
 from circuitfan import (
     DRL,
+    LEX,
     IdealHandle,
     PolyRing,
     graded_basis,
     initial_space_w,
     rank_rel,
     span_matrix,
+    weighted,
 )
 from circuitfan.circuits import _quotient_images
 from circuitfan.elim import echelon, residual
@@ -21,11 +23,17 @@ from circuitfan.linalg import (
     exact_rank,
     rank_bareiss,
     rref,
+    weight_echelon,
 )
 from circuitfan.ring import QQ, PrimeField, monomials_of_degree, poly_str
 
 from conftest import random_homogeneous
-from oracles import rank_reference, rref_reference, weight_component_dims
+from oracles import (
+    initial_space_reference,
+    rank_reference,
+    rref_reference,
+    weight_component_dims,
+)
 
 
 @pytest.fixture
@@ -377,3 +385,40 @@ class TestInitialSpace:
         W = span_matrix(R3, 3, [random_homogeneous(R3, 3, rng) for _ in range(3)])
         dims = weight_component_dims(W, (2, 1, 0))
         assert sum(dims.values()) == W.dim
+
+    @pytest.mark.parametrize("fld", [QQ, PrimeField(2), PrimeField(32003)], ids=str)
+    def test_matches_gauss_jordan_reference(self, fld):
+        # the initial forms of one echelon against those of Gauss-Jordan rows
+        # on weight-sorted columns, compared as Gauss-Jordan forms of their
+        # spans; weights with negative entries, under both ties
+        rng = random.Random(16)
+        R3 = PolyRing(("x", "y", "z"), fld)
+        for _ in range(20):
+            d = rng.choice([1, 2, 3])
+            W = span_matrix(
+                R3, d, [random_homogeneous(R3, d, rng) for _ in range(rng.randint(0, 5))]
+            )
+            w = tuple(rng.randint(-3, 3) for _ in range(3))
+            for tie in (DRL, LEX):
+                V = initial_space_w(W, w, tie)
+                p = fld.characteristic
+                assert rref_reference(V.rows, p)[0] == initial_space_reference(W, w, tie)
+
+    def test_weight_echelon_leads_are_distinct(self):
+        rng = random.Random(17)
+        R3 = PolyRing(("x", "y", "z"))
+        for _ in range(20):
+            d = rng.choice([2, 3])
+            W = span_matrix(
+                R3, d, [random_homogeneous(R3, d, rng) for _ in range(rng.randint(1, 5))]
+            )
+            w = tuple(rng.randint(-3, 3) for _ in range(3))
+            key = weighted(w, DRL).key
+            leads = {max(f.terms, key=key) for f in weight_echelon(W, w)}
+            assert len(leads) == W.dim
+
+    def test_wrong_length_weight_rejected_on_zero_piece(self, R):
+        W = span_matrix(R, 2, [])
+        assert W.dim == 0
+        with pytest.raises(ValueError):
+            initial_space_w(W, (1, 0, 0))
