@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 import time
@@ -46,8 +45,6 @@ from .linalg import graded_basis
 from .order import parse_order
 from .ring import field_from_spec, parse_weight, poly_str, Polynomial, PolyRing
 
-SEED_ENV = "CIRCUITFAN_SEED"
-
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_UNCERTIFIED = 2
@@ -64,16 +61,6 @@ def _load_ideal(path: str, field_override: str = None):
             gens = [ring2.parse(poly_str(g)) for g in ideal.generators]
             return ring2, IdealHandle(ring2, gens)
     return ring, ideal
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV)
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise ValueError(f"{SEED_ENV} must be an integer, not {env!r}") from None
 
 
 class ArgumentError(ValueError):
@@ -104,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         c = sub.add_parser(name, **kw)
         c.add_argument("input", help="ideal file")
         c.add_argument("--field", help="field override, e.g. gf:32003")
-        c.add_argument("--seed", type=int, default=None)
+        c.add_argument("--seed", type=int, default=0)
         return c
 
     c = cmd("gb", help="reduced Groebner basis")
@@ -375,10 +362,8 @@ def main(argv=None) -> int:
     if not args.no_timestamp:
         document["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     try:
-        # the key is already in config, so a valid seed keeps its place
-        seed = config["seed"] = _resolve_seed(args)
         ring, ideal = _load_ideal(args.input, args.field)
-        code, payload = _dispatch(args, ring, ideal, seed)
+        code, payload = _dispatch(args, ring, ideal, args.seed)
         document.update(payload)
     except (UncertifiedError, CapTooSmallError, MacaulayError, FanConsistencyError) as e:
         code = EXIT_UNCERTIFIED

@@ -111,14 +111,14 @@ class FanSketch:
 # cell tests
 
 
-def weight_equiv(I: IdealHandle, w, w2, tie: MonomialOrder = DRL) -> bool:
+def weight_equiv(I: IdealHandle, w, w2) -> bool:
     """Two weights give the same initial ideal iff w2 lies in the relative
     interior of the cone of w."""
     w2 = make_weight(w2)
     # a cone with no vectors, as of a monomial ideal, takes any length
     if len(w2) != I.ring.n:
         raise ValueError(f"weight of length {len(w2)} in {I.ring.n} variables")
-    return cone_of(I, w, tie).contains(w2, strict=True)
+    return cone_of(I, w).contains(w2, strict=True)
 
 
 def cone_of(I: IdealHandle, w, tie: MonomialOrder = DRL) -> Cone:

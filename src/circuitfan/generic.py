@@ -32,7 +32,7 @@ def _random_invertible(rng: random.Random, ring: PolyRing, bound: int):
     for _ in range(64):
         m = [[fld.random(rng, bound) for _ in range(n)] for _ in range(n)]
         try:
-            return Substitution(ring, m, convention="row")
+            return Substitution(ring, m)
         except ValueError:
             continue
     raise UncertifiedError("could not sample an invertible matrix")
@@ -93,7 +93,7 @@ def gcs_truncated(
 @dataclass(frozen=True)
 class BorelOmegaElement:
     """Unit-diagonal upper-triangular matrix vanishing wherever the sorted
-    weight has equal entries; acts on variables by the column convention."""
+    weight has equal entries; acts by columns, X_j to sum_i m[i][j] X_i."""
 
     weight: tuple
     matrix: tuple  # n x n tuple of tuples: ints or Fractions, residues over GF(p)
@@ -120,7 +120,7 @@ class BorelOmegaElement:
                     raise ValueError("entry must vanish where weight entries tie")
 
     def as_substitution(self, ring: PolyRing) -> Substitution:
-        return Substitution(ring, self.matrix, convention="column")
+        return Substitution(ring, tuple(zip(*self.matrix)))
 
 
 def borel_omega_sample(w, spec: RandomSpec, field, stream: int = 0) -> BorelOmegaElement:

@@ -559,9 +559,14 @@ def transform_ideal(s: Substitution, I: IdealHandle) -> IdealHandle:
 
 @dataclass(frozen=True)
 class HilbertData:
+    """dim I_d in n variables for d = 0..dmax, with dmax read off the dims."""
+
     n: int
-    dmax: int
     ideal_dims: tuple  # dim I_d for d = 0..dmax
+
+    @property
+    def dmax(self) -> int:
+        return len(self.ideal_dims) - 1
 
     def quotient_dims(self) -> tuple:
         return tuple(dim_degree(self.n, d) - v for d, v in enumerate(self.ideal_dims))
@@ -580,7 +585,7 @@ def hilbert_function(I: IdealHandle, dmax: int) -> HilbertData:
     """dim I_d for 0 <= d <= dmax, counted from the canonical initial ideal."""
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
-    return HilbertData(I.ring.n, dmax, tuple(itertools.islice(_ideal_dims(I), dmax + 1)))
+    return HilbertData(I.ring.n, tuple(itertools.islice(_ideal_dims(I), dmax + 1)))
 
 
 def _lex_read(ring: PolyRing, dims, delta: int):
@@ -618,6 +623,8 @@ def lex_segment(H: HilbertData, ring: PolyRing, cap: int):
     generator appears in degree cap itself.  Data up to cap cannot show that no
     generator comes later: only lex_bound certifies that D is final.
     """
+    if H.n != ring.n:
+        raise ValueError(f"Hilbert data in {H.n} variables for a ring in {ring.n}")
     if cap < 1:
         raise ValueError("cap must be positive")
     if cap > H.dmax:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .elim import clear_denominators, echelon, rank_bareiss, rref
-from .order import DRL, MonomialOrder, weighted
+from .order import weighted
 from .ring import Polynomial, PolyRing, initial_form_w, monomials_of_degree
 
 
@@ -117,16 +117,17 @@ def rank_rel(W: GradedMatrix, S) -> int:
     return exact_rank(rows, W.ring.field.characteristic) - len(S)
 
 
-def weight_echelon(W: GradedMatrix, w, tie: MonomialOrder = DRL) -> list:
-    """A basis of W whose leading monomials in the w-weight order refined by
-    ``tie`` are distinct: one ``echelon`` of W's rows on its columns sorted
-    descending in that order, as polynomials.
+def weight_echelon(W: GradedMatrix, w) -> list:
+    """A basis of W whose leading monomials in the w-weight order are
+    distinct: one ``echelon`` of W's rows on its columns sorted descending in
+    that order, as polynomials.
 
     A combination of the rows leads with the largest lead among its rows, so
     their initial forms span in_w(W), and the weights of their leads are the
-    weights of in_w(W)'s components, with multiplicity.
+    weights of in_w(W)'s components, with multiplicity; neither fact
+    depends on the order that breaks weight ties, so none is taken.
     """
-    key = weighted(w, tie).key
+    key = weighted(w).key
     cols = sorted(range(W.ncols), key=lambda j: key(W.basis[j]), reverse=True)
     rows = echelon([[r[j] for j in cols] for r in W.rows], W.ring.field.characteristic)
     return [
@@ -135,8 +136,8 @@ def weight_echelon(W: GradedMatrix, w, tie: MonomialOrder = DRL) -> list:
     ]
 
 
-def initial_space_w(W: GradedMatrix, w, tie: MonomialOrder = DRL) -> GradedMatrix:
-    """The weight initial space in_w(W): the span of the initial forms of
-    the ``weight_echelon``."""
-    forms = [initial_form_w(f, w) for f in weight_echelon(W, w, tie)]
+def initial_space_w(W: GradedMatrix, w) -> GradedMatrix:
+    """The weight initial space in_w(W), unique for each weight: the span of
+    the initial forms of the ``weight_echelon``."""
+    forms = [initial_form_w(f, w) for f in weight_echelon(W, w)]
     return span_matrix(W.ring, W.degree, forms)

@@ -493,10 +493,8 @@ def specialize_last(f: Polynomial, a, target: PolyRing) -> Polynomial:
 
 
 class Substitution:
-    """Invertible linear change of variables.
-
-    Row action sends X_i to sum_j m[i][j] X_j; column action sends X_j to
-    sum_i m[i][j] X_i.  The images of the variables are integer linear forms
+    """Invertible linear change of variables acting by rows: X_i goes to
+    sum_j m[i][j] X_j.  The images of the variables are integer linear forms
     over one common denominator (1 over GF(p)).  ``apply`` builds the image
     of each monomial it needs once, as the image of the monomial with its
     first nonzero exponent lowered times one form, and adds c times it, c
@@ -506,9 +504,7 @@ class Substitution:
 
     __slots__ = ("ring", "matrix", "_forms", "_den")
 
-    def __init__(self, ring: PolyRing, matrix, convention: str = "row"):
-        if convention not in ("row", "column"):
-            raise ValueError("convention must be 'row' or 'column'")
+    def __init__(self, ring: PolyRing, matrix):
         n = ring.n
         p = ring.field.characteristic
         # ints or Fractions, stored as residues over GF(p)
@@ -522,8 +518,7 @@ class Substitution:
         if len(echelon(ints, p)) != n:
             raise ValueError("substitution matrix is singular")
         # X_k goes to sum c X_j / den over the pairs (j, c) of _forms[k]
-        forms = ints if convention == "row" else zip(*ints)
-        self._forms = tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in forms)
+        self._forms = tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in ints)
 
     def apply(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:

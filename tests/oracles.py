@@ -129,18 +129,18 @@ def poly_str_reference(f) -> str:
     return " ".join(pieces)
 
 
-def substitution_apply_reference(s: Substitution, f: Polynomial, convention: str) -> Polynomial:
-    """``Substitution.apply`` term by term in polynomial arithmetic, for s
-    built with the given convention: each variable's image polynomial, its
-    powers by repeated multiplication, and each term's product added to the
-    running sum."""
+def substitution_apply_reference(s: Substitution, f: Polynomial) -> Polynomial:
+    """``Substitution.apply`` term by term in polynomial arithmetic: each
+    variable's image polynomial, read off its row of the matrix, its powers
+    by repeated multiplication, and each term's product added to the running
+    sum."""
     ring = s.ring
     n = ring.n
     images = []
     for k in range(n):
         terms = {}
         for j in range(n):
-            c = s.matrix[k][j] if convention == "row" else s.matrix[j][k]
+            c = s.matrix[k][j]
             if c:
                 e = [0] * n
                 e[j] = 1

@@ -231,7 +231,8 @@ def test_10_filtration_ranks():
                 for j in range(i + 1, n):
                     if w[i] != w[j]:
                         m[i][j] = Fraction(rng.randint(-4, 4))
-            s = Substitution(ring, m, convention="column")
+            # the Borel element acts by columns, a substitution by rows
+            s = Substitution(ring, list(zip(*m)))
             bW = span_matrix(ring, d, [s.apply(f) for f in W.row_polynomials()])
             assert alpha_vector(bW, w) >= a
 

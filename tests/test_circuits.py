@@ -422,6 +422,7 @@ class TestAlpha:
                 for j in range(i + 1, 3):
                     if w[i] != w[j]:
                         m[i][j] = Fraction(rng.randint(-3, 3))
-            s = Substitution(R3, m, convention="column")
+            # the Borel element acts by columns, a substitution by rows
+            s = Substitution(R3, list(zip(*m)))
             bW = span_matrix(R3, d, [s.apply(f) for f in W.row_polynomials()])
             assert alpha_vector(bW, w) >= alpha_vector(W, w)

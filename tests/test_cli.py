@@ -293,20 +293,7 @@ class TestDeterminism:
         assert first == second
         assert "timestamp" not in json.loads(first)
 
-    def test_env_seed(self, capsys, ideal_file, monkeypatch):
-        monkeypatch.setenv("CIRCUITFAN_SEED", "42")
-        _, doc = run(capsys, ["gcs", ideal_file, "--trunc", "2"])
-        assert doc["config"]["seed"] == 42
-
-    def test_env_seed_not_an_integer(self, capsys, ideal_file, monkeypatch):
-        monkeypatch.setenv("CIRCUITFAN_SEED", "abc")
-        code, doc = run(capsys, ["--no-timestamp", "hf", ideal_file])
-        assert code == 1
-        assert doc["error"]["kind"] == "ValueError"
-        assert "CIRCUITFAN_SEED" in doc["error"]["reason"]
-
-    def test_explicit_seed_wins(self, capsys, ideal_file, monkeypatch):
-        monkeypatch.setenv("CIRCUITFAN_SEED", "42")
+    def test_explicit_seed_wins(self, capsys, ideal_file):
         _, doc = run(capsys, ["gcs", ideal_file, "--trunc", "2", "--seed", "7"])
         assert doc["config"]["seed"] == 7
 
@@ -327,8 +314,7 @@ class TestDeterminism:
 
 
 class TestParser:
-    def test_no_state_between_calls(self, capsys, ideal_file, pair_file, monkeypatch):
-        monkeypatch.delenv("CIRCUITFAN_SEED", raising=False)
+    def test_no_state_between_calls(self, capsys, ideal_file, pair_file):
         argv = ["--no-timestamp", "gb", pair_file, "--order", "lex", "--seed", "5"]
         _, doc = run(capsys, argv)
         assert doc["config"]["seed"] == 5
@@ -410,6 +396,32 @@ class TestExitCodes:
         path.write_text("ring: Q; vars: x,y\ngens:\nx^2 + y\n")
         code, doc = run(capsys, ["gb", str(path)])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text, argv, reason",
+        [
+            (PAIR, ["fan-enum", "--oracle"], "--oracle needs a principal ideal"),
+            ("ring: Q; vars: x,y; foo: 1\ngens:\nx^2\n", ["gb"], "line 1: unexpected 'foo: 1'"),
+            ("ring: Q; vars: x,x\ngens:\nx^2\n", ["gb"], "variable names must be distinct"),
+            ("ring: Q; vars: x,1y\ngens:\nx^2\n", ["gb"], "bad variable name '1y'"),
+            (IDEAL, ["circuits", "--trunc", "-1"], "truncation degree must be non-negative"),
+            (IDEAL, ["hf", "--dmax", "-1"], "dmax must be non-negative"),
+            (IDEAL, ["lexseg", "--cap", "0"], "cap must be positive"),
+            # TWISTED is in three variables
+            (IDEAL, ["fan-compare", "--other", "TWISTED"], "ideals in different rings"),
+            (IDEAL, ["alpha", "--weight", "1,0", "--degree", "-1"], "degree must be non-negative"),
+        ],
+        ids=["oracle", "header", "repeated-var", "var-name", "trunc", "dmax", "cap", "rings", "degree"],
+    )
+    def test_bad_input_document(self, capsys, tmp_path, text, argv, reason):
+        path = tmp_path / "I.ideal"
+        path.write_text(text)
+        other = tmp_path / "other.ideal"
+        other.write_text(TWISTED)
+        argv = [argv[0], str(path)] + [str(other) if a == "TWISTED" else a for a in argv[1:]]
+        code, doc = run(capsys, argv)
+        assert code == 1
+        assert doc["error"] == {"kind": "ValueError", "reason": reason}
 
     def test_truncated_circuits_exit_2(self, capsys, ideal_file):
         code, doc = run(

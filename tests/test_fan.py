@@ -67,6 +67,19 @@ class TestWeightEquiv:
             assert weight_equiv(I, w, tuple(x + 7 for x in w))
 
 
+    def test_independent_of_the_tie(self, suite):
+        # the cell of w is one relative interior whichever order breaks ties
+        grid = list(itertools.product(range(3), repeat=3))
+        for I in suite:
+            if I.ring.n != 3:
+                continue
+            for w in grid:
+                cone = cone_of(I, w, LEX)
+                assert [weight_equiv(I, w, w2) for w2 in grid] == [
+                    cone.contains(w2, strict=True) for w2 in grid
+                ]
+
+
 class TestConeOf:
     def test_interior_weight(self, R):
         I = IdealHandle(R, [R.parse("x^2 + x*y + y^2")])
@@ -114,6 +127,10 @@ class TestConeOf:
         cone = Cone.build([(2, -2), (-1, 1)], [(4, 2), (2, 1)])
         assert cone.equalities == ((1, -1),)
         assert cone.inequalities == ((2, 1),)
+        # zero rows constrain nothing and are dropped
+        cone = Cone.build([(0, 0, 0), (2, -2, 0)], [(0, 0, 0), (3, 0, -3)])
+        assert cone == Cone(((1, -1, 0),), ((1, 0, -1),))
+        assert Cone.build([(0, 0)], [(0, 0)]) == Cone((), ())
 
 
 class TestEnumerateFan:

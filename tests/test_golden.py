@@ -31,7 +31,6 @@ def test_workload_matches_golden(workload, tmp_path, monkeypatch, capsys):
     # outputs echo the input path and the seed, so both must match the run
     # that recorded the manifest
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
     for name, argv in jobs:
         code = cli.main(argv)
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

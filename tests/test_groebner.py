@@ -880,9 +880,30 @@ class TestLexSegment:
     def test_macaulay_violation(self, R):
         from circuitfan.groebner import HilbertData
 
-        bad = HilbertData(2, 3, (0, 2, 1, 0))
+        bad = HilbertData(2, (0, 2, 1, 0))
         with pytest.raises(MacaulayError):
             lex_segment(bad, R, 3)
+
+    def test_dmax_is_read_off_the_dims(self, R):
+        from circuitfan.groebner import HilbertData
+
+        H = HilbertData(2, (0, 1, 3, 4))
+        assert H.dmax == 3
+        # the data of (x, y^2): y^2 comes in degree 2, so cap 2 is too small
+        # and cap 3 reads the segment
+        with pytest.raises(CapTooSmallError):
+            lex_segment(H, R, 2)
+        L, D = lex_segment(H, R, 3)
+        assert [poly_str(g) for g in L.generators] == ["x", "y^2"] and D == 2
+        # degrees 3 and 4 of the data are missing
+        with pytest.raises(ValueError, match="cap exceeds the available Hilbert data"):
+            lex_segment(HilbertData(2, (0, 1, 3)), R, 4)
+
+    def test_data_for_another_ring_rejected(self, R):
+        H = hilbert_function(IdealHandle(R, [R.parse("x^2"), R.parse("y^2")]), 4)
+        R3 = PolyRing(("x", "y", "z"))
+        with pytest.raises(ValueError, match="Hilbert data in 2 variables for a ring in 3"):
+            lex_segment(H, R3, 3)
 
     def test_cap_too_small(self, R):
         I = IdealHandle(R, [R.parse("x*y")])

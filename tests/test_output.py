@@ -59,7 +59,6 @@ def test_emitter_equals_json_dumps_on_golden_documents(workload, tmp_path, monke
     files, jobs = corpus.build(workload, golden["seed"])
     corpus.write(files, tmp_path)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
     documents = []
     emit = cli.dumps
 

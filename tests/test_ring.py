@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circuitfan import (
+    BorelOmegaElement,
     IdealHandle,
     PolyRing,
     Polynomial,
@@ -275,8 +276,8 @@ SUBSTITUTION_FIELDS = (QQ, PrimeField(2), PrimeField(32003))
 
 @st.composite
 def substitution_cases(draw):
-    """A ring of 1-3 variables, a square matrix, a convention and a
-    polynomial of mixed degrees.  Over Q the entries mix ints and fractions
+    """A ring of 1-3 variables, a square matrix and a polynomial of mixed
+    degrees.  Over Q the entries mix ints and fractions
     (1/2 and -3/7 among them); over GF(p) they are ints in [-2p, 2p], so
     negative and unreduced."""
     fld = draw(st.sampled_from(SUBSTITUTION_FIELDS))
@@ -295,10 +296,9 @@ def substitution_cases(draw):
         coeff = st.fractions(-20, 20, max_denominator=9)
     row = st.lists(entry, min_size=n, max_size=n)
     matrix = draw(st.lists(row, min_size=n, max_size=n))
-    convention = draw(st.sampled_from(("row", "column")))
     exponents = st.tuples(*[st.integers(0, 3)] * n)
     terms = draw(st.dictionaries(exponents, coeff, max_size=5))
-    return ring, matrix, convention, Polynomial(ring, terms)
+    return ring, matrix, Polynomial(ring, terms)
 
 
 class TestSubstitution:
@@ -371,18 +371,18 @@ class TestSubstitution:
 
     @settings(max_examples=200, deadline=None)
     @given(substitution_cases())
-    @example((PolyRing(("x", "y")), [[Fraction(1, 2), 1], [Fraction(-3, 7), 2]], "row",
+    @example((PolyRing(("x", "y")), [[Fraction(1, 2), 1], [Fraction(-3, 7), 2]],
               PolyRing(("x", "y")).parse("x^2*y - 3/2*x + 5/4")))
     def test_apply_matches_term_by_term_expansion(self, case):
-        ring, matrix, convention, f = case
+        ring, matrix, f = case
         fld = ring.field
         if inverse_reference(matrix, fld.characteristic) is None:
             with pytest.raises(ValueError, match="singular"):
-                Substitution(ring, matrix, convention)
+                Substitution(ring, matrix)
             return
-        s = Substitution(ring, matrix, convention)
+        s = Substitution(ring, matrix)
         g = s.apply(f)
-        assert g == substitution_apply_reference(s, f, convention)
+        assert g == substitution_apply_reference(s, f)
         if fld.characteristic:
             assert all(0 < c < fld.characteristic for c in g.terms.values())
         else:
@@ -391,11 +391,12 @@ class TestSubstitution:
     @pytest.mark.parametrize("fld", SUBSTITUTION_FIELDS, ids=str)
     def test_apply_to_constant_and_zero(self, fld):
         R = PolyRing(("x", "y"), fld)
-        for convention in ("row", "column"):
-            s = Substitution(R, [[3, -1], [2, 5]], convention)
+        # a matrix and its transpose
+        for matrix in ([[3, -1], [2, 5]], [[3, 2], [-1, 5]]):
+            s = Substitution(R, matrix)
             for text in ("0", "3", "3 + x", "x*y^2 - 5"):
                 f = R.parse(text)
-                assert s.apply(f) == substitution_apply_reference(s, f, convention)
+                assert s.apply(f) == substitution_apply_reference(s, f)
             assert s.apply(R.parse("3")) == R.parse("3")
 
     def test_apply_matches_sympy(self):
@@ -410,20 +411,20 @@ class TestSubstitution:
             )
 
         cases = [
-            ([[1, Fraction(1, 2), 0], [Fraction(-3, 7), 2, 1], [0, 1, 5]], "row", "x^2*y - 3/2*z + 7"),
-            ([[2, 0, Fraction(-3, 7)], [1, 1, 0], [Fraction(1, 2), 0, 3]], "column", "x*y*z + y^3 - 1/3*x"),
-            ([[0, 1, 0], [Fraction(5, 4), 0, 1], [1, 0, Fraction(-1, 2)]], "row", "z^4 - x^2*y^2 + 2/5*y"),
+            ([[1, Fraction(1, 2), 0], [Fraction(-3, 7), 2, 1], [0, 1, 5]], "x^2*y - 3/2*z + 7"),
+            # the transpose of [[2, 0, -3/7], [1, 1, 0], [1/2, 0, 3]]
+            ([[2, 1, Fraction(1, 2)], [0, 1, 0], [Fraction(-3, 7), 0, 3]], "x*y*z + y^3 - 1/3*x"),
+            ([[0, 1, 0], [Fraction(5, 4), 0, 1], [1, 0, Fraction(-1, 2)]], "z^4 - x^2*y^2 + 2/5*y"),
         ]
-        for matrix, convention, text in cases:
-            s = Substitution(R, matrix, convention)
+        for matrix, text in cases:
+            s = Substitution(R, matrix)
             f = R.parse(text)
-            m = matrix if convention == "row" else list(zip(*matrix))
-            images = {v: sum(sympy.Rational(c) * u for c, u in zip(m[k], syms)) for k, v in enumerate(syms)}
+            images = {v: sum(sympy.Rational(c) * u for c, u in zip(matrix[k], syms)) for k, v in enumerate(syms)}
             expected = expr(f).subs(images, simultaneous=True).expand()
             assert sympy.expand(expr(s.apply(f)) - expected) == 0
 
     def test_column_convention(self, R):
-        s = Substitution(R, [[1, 5], [0, 1]], convention="column")
-        # column action maps the second variable into the first
+        s = BorelOmegaElement((1, 0), ((1, 5), (0, 1)), QQ).as_substitution(R)
+        # a Borel element acts by columns: the second variable goes into the first
         assert s.apply(R.parse("y")) == R.parse("5*x + y")
         assert s.apply(R.parse("x")) == R.parse("x")
