@@ -249,7 +249,7 @@ def _dispatch(args, ring, ideal, seed):
     if cmd == "lexseg":
         L, D = lex_bound(ideal, args.cap)
         return EXIT_OK, {
-            # without --cap, lex_bound reads up to D + 1
+            # lex_bound reads up to D + 1 whatever the cap, reported without one
             "cap": D + 1 if args.cap is None else args.cap,
             "lex_segment": [poly_str(g) for g in L.generators],
             "generator_bound": D,

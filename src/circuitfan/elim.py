@@ -20,7 +20,7 @@ def rref(rows, p: int = 0):
     sorted by pivot column, is reduced against the later ones, which leaves
     it primitive over Q; then its pivot is made positive (Q) or 1 (GF(p))."""
     if not p:
-        rows = [clear_denominators(r) for r in rows]
+        rows = [clear_denominators(r)[0] for r in rows]
     ech = sorted(echelon(rows, p), key=lambda e: e[0])
     out = []
     for i, (col, row) in enumerate(ech):
@@ -86,13 +86,15 @@ def residual(ech, v, p: int = 0) -> list:
 
 
 def clear_denominators(values) -> tuple:
-    """The rational vector times the lcm of its denominators, as ints.
+    """(ints, den): the rational vector times den, the lcm of its
+    denominators, as ints.  An all-int vector comes back as a tuple with
+    den 1, and nothing else is done to it.
 
     Entries may be ints, Fractions or anything ``Fraction()`` accepts.
     """
     values = tuple(values)
     if all(type(v) is int for v in values):
-        return values
+        return values, 1
     fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     lcm = math.lcm(*(f.denominator for f in fracs))
-    return tuple(f.numerator * (lcm // f.denominator) for f in fracs)
+    return tuple(f.numerator * (lcm // f.denominator) for f in fracs), lcm

@@ -248,17 +248,18 @@ def generic_fan_compare(
         raise ValueError("mode must be 'generic' or 'deterministic'")
     if I.ring != J.ring:
         raise ValueError("ideals in different rings")
-    _, D = lex_bound(I)
-    # both Hilbert functions grow maximally past their own bound, so agreeing
-    # one degree past the larger bound they agree in every degree
-    top = max(D, lex_bound(J)[1]) + 1
-    HI = hilbert_function(I, top)
-    HJ = hilbert_function(J, top)
-    if HI.ideal_dims != HJ.ideal_dims:
+    L, D = lex_bound(I)
+    LJ, DJ = lex_bound(J)
+    # a Hilbert function fixes its lex-segment ideal and is read off it
+    # (Macaulay), so the two ideals' Hilbert functions agree exactly when
+    # their lex-segment ideals do; the dims are read only to show a mismatch,
+    # one degree past the larger bound, where both grow maximally for good
+    if L.generators != LJ.generators:
+        top = max(D, DJ) + 1
         return {
             "verdict": "incomparable",
             "reason": "Hilbert mismatch",
-            "dims": [list(HI.ideal_dims), list(HJ.ideal_dims)],
+            "dims": [list(hilbert_function(K, top).ideal_dims) for K in (I, J)],
         }
     if mode == "generic":
         left = gcs_truncated(I, D, spec)

@@ -206,11 +206,9 @@ def stab_check(
     trials = []
     passed = True
     for gi in range(g_trials):
-        if force_identity_g:
-            g = Substitution.identity(I.ring)
-        else:
-            g = random_change(spec, I.ring, stream=100 + gi)
-        J = initial_ideal_w(transform_ideal(g, I), w)
+        J = initial_ideal_w(
+            I if force_identity_g else transform_ideal(random_change(spec, I.ring, 100 + gi), I), w
+        )
         basis = J.groebner()
         # a certified J is fixed by every b, so each sampled b would pass
         fixed = _borel_fixed(J, w)

@@ -19,7 +19,6 @@ from .ring import (
     field_from_spec,
     homogenize_w,
     initial_support_w,
-    make_weight,
     mono_divides,
     monomials_of_degree,
     poly_str,
@@ -135,9 +134,6 @@ class IdealHandle:
                 )
         return None
 
-    def is_zero(self) -> bool:
-        return not self.generators
-
     def __repr__(self):
         gens = ", ".join(poly_str(g) for g in self.generators)
         return f"IdealHandle({self.ring}; {gens})"
@@ -235,7 +231,7 @@ class _Kernel:
         if p:
             inv = pow(terms[0][2], -1, p)
             return [(k, e, c * inv % p) for k, e, c in terms]
-        ints = clear_denominators([c for _, _, c in terms])
+        ints = clear_denominators([c for _, _, c in terms])[0]
         g = math.gcd(*ints)
         if ints[0] < 0:
             g = -g
@@ -336,9 +332,8 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     K, reducers = cached
     # over Q, d*f has int coefficients (over GF(p) d is 1)
     terms = K.pack(f)
-    d = math.lcm(*(c.denominator for _, _, c in terms))
-    ints = [(k, e, c.numerator * (d // c.denominator)) for k, e, c in terms]
-    r, scale = K.reduce(ints, reducers)
+    ints, d = clear_denominators([c for _, _, c in terms])
+    r, scale = K.reduce([(k, e, c) for (k, e, _), c in zip(terms, ints)], reducers)
     return K.unpack(r, d * scale)
 
 
@@ -575,9 +570,9 @@ class HilbertData:
 def _ideal_dims(I: IdealHandle):
     """dim I_0, dim I_1, ... without end, counted from the canonical initial
     ideal."""
-    lms = [] if I.is_zero() else I.groebner(CANONICAL).leads
+    lms = I.groebner(CANONICAL).leads
     for d in itertools.count():
-        monos = monomials_of_degree(I.ring.n, d) if lms else ()
+        monos = monomials_of_degree(I.ring.n, d)
         yield sum(1 for m in monos if any(mono_divides(l, m) for l in lms))
 
 
@@ -647,15 +642,21 @@ def lex_bound(I: IdealHandle, cap: int = None):
     maximally from c - 1 to c (Macaulay), and as in(I) is generated in degrees
     <= c - 1, Gotzmann's persistence theorem keeps that growth maximal in every
     later degree, so no lex generator comes after c - 1 (Bruns & Herzog,
-    Cohen-Macaulay Rings, 4.2-4.3).  The last degree read is D + 1.  An
-    explicit cap reads up to cap instead and raises CapTooSmallError unless it
-    passes delta and brings no generator.
+    Cohen-Macaulay Rings, 4.2-4.3).  The last degree read is D + 1, whatever
+    the cap, and a cap is checked against that answer: CapTooSmallError when
+    a lex generator lies in degree cap or cap does not pass delta (Gotzmann
+    leaves no other cap <= D), ValueError when cap is below 1.
     """
-    lms = [] if I.is_zero() else I.groebner(CANONICAL).leads
-    delta = max(map(sum, lms), default=0)
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be positive")
+    delta = max(map(sum, I.groebner(CANONICAL).leads), default=0)
+    L, D = _lex_read(I.ring, _ideal_dims(I), delta)
     if cap is None:
-        return _lex_read(I.ring, _ideal_dims(I), delta)
-    L, D = lex_segment(hilbert_function(I, cap), I.ring, cap)
+        return L, D
+    if any(g.degree() == cap for g in L.generators):
+        raise CapTooSmallError(
+            f"lex-segment generators appear in degree {cap}; increase cap beyond {cap}"
+        )
     if cap <= delta:
         raise CapTooSmallError(
             f"in(I) has generators in degree {delta}; increase cap beyond {delta}"
@@ -680,7 +681,6 @@ def homogenize_ideal_w(I: IdealHandle, w) -> HomogenizedIdeal:
     The resulting family interpolates the ideal (t=1), its weight initial
     ideal (t=0) and its diagonal coordinate changes (t=a, a nonzero).
     """
-    w = make_weight(w)
     ring_t = I.ring.extended()
     gb = I.groebner(weighted(w, tie=DRL))
     gens = tuple(homogenize_w(g, w, ring_t) for g in gb.elements)

@@ -50,7 +50,7 @@ class GradedMatrix:
 
 def integer_rows(rows):
     """Clear denominators rowwise, mapping rational rows to integer rows."""
-    return [clear_denominators(r) for r in rows]
+    return [clear_denominators(r)[0] for r in rows]
 
 
 def exact_rank(rows, p: int) -> int:

@@ -202,7 +202,7 @@ def dim_degree(n: int, d: int) -> int:
 
 def make_weight(entries) -> tuple:
     """Normalize a weight to integer entries by clearing denominators."""
-    return clear_denominators(entries)
+    return clear_denominators(entries)[0]
 
 
 def parse_weight(text: str) -> tuple:
@@ -467,11 +467,13 @@ def initial_support_w(support, w) -> frozenset:
 def homogenize_w(f: Polynomial, w, ring_t: PolyRing) -> Polynomial:
     """Homogenize f with respect to a weight using an extra last variable.
 
-    Each term X^a picks up t^(maxweight - w.a); evaluating t=1 recovers f and
-    t=0 gives the initial form.
+    Each term X^a picks up t^(maxweight - w.a), with the weight's
+    denominators cleared first so that every exponent is an int; evaluating
+    t=1 recovers f and t=0 gives the initial form.
     """
     if f.is_zero():
         raise ValueError("cannot homogenize the zero polynomial")
+    w = make_weight(w)
     vals = {m: weight_value(m, w) for m in f.terms}
     top = max(vals.values())
     terms = {m + (top - vals[m],): c for m, c in f.terms.items()}
@@ -513,8 +515,8 @@ class Substitution:
             raise ValueError("substitution matrix has wrong shape")
         self.ring = ring
         self.matrix = rows
-        self._den = den = 1 if p else math.lcm(*(x.denominator for r in rows for x in r))
-        ints = rows if p else [[x.numerator * (den // x.denominator) for x in r] for r in rows]
+        flat, self._den = clear_denominators(x for r in rows for x in r)
+        ints = [flat[i : i + n] for i in range(0, n * n, n)]
         if len(echelon(ints, p)) != n:
             raise ValueError("substitution matrix is singular")
         # X_k goes to sum c X_j / den over the pairs (j, c) of _forms[k]
@@ -543,19 +545,13 @@ class Substitution:
             return images[m]
 
         top = max(map(sum, f.terms), default=0)
-        lcd = 1 if p else math.lcm(*(c.denominator for c in f.terms.values()))
+        coeffs, lcd = clear_denominators(f.terms.values())
         out = {}
-        for m, c in f.terms.items():
-            if not p:
-                c = c.numerator * (lcd // c.denominator) * den ** (top - sum(m))
+        for m, c in zip(f.terms, coeffs):
+            c *= den ** (top - sum(m))
             for u, a in image(m).items():
                 out[u] = out.get(u, 0) + c * a
         if p:
             return Polynomial(self.ring, out)
         lcd *= den**top
         return Polynomial(self.ring, {u: Fraction(c, lcd) for u, c in out.items() if c})
-
-    @staticmethod
-    def identity(ring: PolyRing) -> "Substitution":
-        n = ring.n
-        return Substitution(ring, [[int(i == j) for j in range(n)] for i in range(n)])

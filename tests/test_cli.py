@@ -407,11 +407,12 @@ class TestExitCodes:
             (IDEAL, ["circuits", "--trunc", "-1"], "truncation degree must be non-negative"),
             (IDEAL, ["hf", "--dmax", "-1"], "dmax must be non-negative"),
             (IDEAL, ["lexseg", "--cap", "0"], "cap must be positive"),
+            (IDEAL, ["lexseg", "--cap", "-1"], "cap must be positive"),
             # TWISTED is in three variables
             (IDEAL, ["fan-compare", "--other", "TWISTED"], "ideals in different rings"),
             (IDEAL, ["alpha", "--weight", "1,0", "--degree", "-1"], "degree must be non-negative"),
         ],
-        ids=["oracle", "header", "repeated-var", "var-name", "trunc", "dmax", "cap", "rings", "degree"],
+        ids=["oracle", "header", "repeated-var", "var-name", "trunc", "dmax", "cap", "negative-cap", "rings", "degree"],
     )
     def test_bad_input_document(self, capsys, tmp_path, text, argv, reason):
         path = tmp_path / "I.ideal"

@@ -15,6 +15,7 @@ from circuitfan import (
     cone_of,
     enumerate_fan,
     generic_fan_compare,
+    hilbert_function,
     ideal_equal,
     initial_ideal_w,
     newton_fan_oracle,
@@ -23,6 +24,7 @@ from circuitfan import (
     weighted,
 )
 from circuitfan.fan import Cone, FanConsistencyError
+from circuitfan.groebner import lex_bound
 from circuitfan.ring import QQ, PrimeField, initial_form_w, initial_support_w, poly_str
 
 from conftest import over, random_homogeneous
@@ -290,11 +292,30 @@ class TestFanCompare:
             assert out["verdict"] == "EQUAL-FAN-CERTIFIED"
 
     def test_hilbert_mismatch(self, R):
-        I = IdealHandle(R, [R.parse("x")])
-        J = IdealHandle(R, [R.parse("x^2")])
-        out = generic_fan_compare(I, J, RandomSpec(25))
-        assert out["verdict"] == "incomparable"
-        assert out["reason"] == "Hilbert mismatch"
+        # both dims lists are read to the larger lex bound + 1: 2 + 1 for
+        # (x) against (x^2), 4 + 1 for the zero ideal against the pair
+        cases = [
+            (["x"], ["x^2"], [[0, 1, 2, 3], [0, 0, 1, 2]]),
+            ([], ["x^2 + 3*x*y - 2*y^2", "x*y^2 - y^3"], [[0] * 6, [0, 0, 1, 3, 5, 6]]),
+        ]
+        for left, right, dims in cases:
+            I = IdealHandle(R, [R.parse(g) for g in left])
+            J = IdealHandle(R, [R.parse(g) for g in right])
+            out = generic_fan_compare(I, J, RandomSpec(25))
+            assert out == {"verdict": "incomparable", "reason": "Hilbert mismatch", "dims": dims}
+
+    def test_incomparable_exactly_on_hilbert_mismatch(self, suite, monkeypatch):
+        # the verdict's Hilbert gate against Hilbert functions read well past
+        # both lex bounds; the circuits sets are stubbed, as only the gate
+        # is under test
+        monkeypatch.setattr("circuitfan.fan.circuits_truncated", lambda I, d: d)
+        for I, J in itertools.product(suite, repeat=2):
+            if I.ring != J.ring:
+                continue
+            top = max(lex_bound(I)[1], lex_bound(J)[1]) + I.ring.n + 3
+            differ = hilbert_function(I, top) != hilbert_function(J, top)
+            out = generic_fan_compare(I, J, RandomSpec(29), mode="deterministic")
+            assert (out["verdict"] == "incomparable") == differ
 
     def test_deterministic_inconclusive(self, R):
         # (x^2) and (x*y) share a Hilbert function but not circuits sets

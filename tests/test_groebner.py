@@ -836,7 +836,7 @@ class TestLexSegment:
     def test_zero(self, R):
         H = hilbert_function(IdealHandle(R, []), 4)
         L, D = lex_segment(H, R, 4)
-        assert L.is_zero() and D == 0
+        assert not L.generators and D == 0
 
     def test_same_hilbert_function(self, suite):
         for I in suite[:6]:
@@ -876,6 +876,39 @@ class TestLexSegment:
         L2, D2 = lex_segment(hilbert_function(I, window), I.ring, window)
         assert L.generators == L2.generators
         assert D == D2
+
+    def test_cap_checked_against_certified_bound(self, suite):
+        # a cap past D gives the uncapped answer, and a cap in 1..D raises
+        # with the message of the read that stops at the cap
+        R3 = PolyRing(("x", "y", "z"))
+        pair = IdealHandle(R3, [R3.parse("x^5 - y^4*z"), R3.parse("y^5 - x*z^4")])
+        zero = IdealHandle(PolyRing(("x", "y")), [])
+        for I in [*suite, pair, zero]:
+            L, D = lex_bound(I)
+            H = hilbert_function(I, D + 3)
+            for cap in range(1, D + 4):
+                expected = self.read_to_cap(I, H, cap)
+                if cap > D:
+                    L2, D2 = lex_bound(I, cap)
+                    assert (L2.generators, D2) == expected == (L.generators, D)
+                else:
+                    with pytest.raises(CapTooSmallError) as err:
+                        lex_bound(I, cap)
+                    assert str(err.value) == expected
+
+    @staticmethod
+    def read_to_cap(I, H, cap):
+        """(generators, D) or the CapTooSmallError message of a read of the
+        Hilbert data H up to cap: lex_segment, then the check that cap
+        passes the top generator degree of in(I)."""
+        delta = max((g.degree() for g in I.groebner().elements), default=0)
+        try:
+            L, D = lex_segment(H, I.ring, cap)
+        except CapTooSmallError as e:
+            return str(e)
+        if cap <= delta:
+            return f"in(I) has generators in degree {delta}; increase cap beyond {delta}"
+        return L.generators, D
 
     def test_macaulay_violation(self, R):
         from circuitfan.groebner import HilbertData

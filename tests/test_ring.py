@@ -147,7 +147,7 @@ class TestCoefficientInvariant:
         f = R.parse("x + 2*y")
         I = IdealHandle(R, [R.parse("x^2 + 3*x*y"), R.parse("2*y^2")])
         H = homogenize_ideal_w(I, (1, 0))
-        made = [f, R.monomial((1, 1)), Substitution.identity(R).apply(f)]
+        made = [f, R.monomial((1, 1)), Substitution(R, ((1, 0), (0, 1))).apply(f)]
         made += specialize_t(H, QQ.one).generators + specialize_t(H, QQ.zero).generators
         made += universal_basis(I, enumerate_fan(I, 2))
         assert all(type(c) is Fraction for g in made for c in g.terms.values())
@@ -254,6 +254,15 @@ class TestHomogenize:
         f = R.parse("x^2 + x*y")
         Rt = R.extended()
         assert homogenize_w(f, (1, 0), Rt) == Rt.parse("x^2 + x*y*t")
+
+    def test_fractional_weight_gives_int_exponents(self, R):
+        # (1/2, 1) is the weight (1, 2) scaled: the same homogenization, not
+        # powers t^(1/2)
+        f = R.parse("x^2 + x*y - y^2")
+        Rt = R.extended()
+        ft = homogenize_w(f, (Fraction(1, 2), 1), Rt)
+        assert ft == homogenize_w(f, (1, 2), Rt)
+        assert all(type(e) is int for m in ft.terms for e in m)
 
     def test_extended_ring_refuses_a_declared_t(self):
         with pytest.raises(ValueError, match="already declared"):
