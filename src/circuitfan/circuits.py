@@ -24,12 +24,6 @@ class CircuitsSet:
         )
         return CircuitsSet(items, truncated)
 
-    def circuits(self, d: int) -> frozenset:
-        for deg, circ in self.by_degree:
-            if deg == d:
-                return circ
-        return frozenset()
-
     def to_json(self, ring) -> list:
         out = []
         for d, circ in self.by_degree:
@@ -102,8 +96,6 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
     # the cap is checked first, so a bad one fails whatever the piece holds
     if size_cap is not None and size_cap < 1:
         raise ValueError("size_cap must be positive")
-    if W.dim == 0:
-        return frozenset(), False
     p = W.ring.field.characteristic
     candidates = W.support_columns()
     n = len(candidates)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 malformed input, malformed argv or an unwritable
 --output (the document then goes to stdout), 2 honest certification failures
-(uncertified genericity, lex-segment cap, truncated enumeration).
+(uncertified genericity, lex-segment cap, truncated enumeration, exhausted
+memory).
 """
 from __future__ import annotations
 
@@ -53,14 +54,7 @@ EXIT_UNCERTIFIED = 2
 def _load_ideal(path: str, field_override: str = None):
     with open(path) as fh:
         text = fh.read()
-    ring, ideal = parse_ideal_file(text)
-    if field_override:
-        fld = field_from_spec(field_override)
-        if fld != ring.field:
-            ring2 = PolyRing(ring.names, fld)
-            gens = [ring2.parse(poly_str(g)) for g in ideal.generators]
-            return ring2, IdealHandle(ring2, gens)
-    return ring, ideal
+    return parse_ideal_file(text, field_from_spec(field_override) if field_override else None)
 
 
 class ArgumentError(ValueError):
@@ -368,8 +362,14 @@ def main(argv=None) -> int:
     except (UncertifiedError, CapTooSmallError, MacaulayError, FanConsistencyError) as e:
         code = EXIT_UNCERTIFIED
         document["error"] = {"kind": type(e).__name__, "reason": str(e)}
-    except (ValueError, OSError, ArithmeticError) as e:
-        # an arithmetic error that gets past the parsers still ends in a document
+    except MemoryError as e:
+        # exhausted memory is an exhausted budget; unwinding freed the work's
+        # memory for the document
+        code = EXIT_UNCERTIFIED
+        document["error"] = {"kind": type(e).__name__, "reason": str(e) or "out of memory"}
+    except (ValueError, OSError, ArithmeticError, RecursionError) as e:
+        # an arithmetic error that gets past the parsers, or input nested
+        # past the interpreter's recursion limit, still ends in a document
         code = EXIT_BAD_INPUT
         document["error"] = {"kind": type(e).__name__, "reason": str(e)}
     text = dumps(document)

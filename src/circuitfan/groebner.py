@@ -19,7 +19,6 @@ from .ring import (
     field_from_spec,
     homogenize_w,
     initial_support_w,
-    mono_divides,
     monomials_of_degree,
     poly_str,
     specialize_last,
@@ -356,6 +355,26 @@ def _quotient_floor(degrees, n: int):
     return lambda d: sum(c * dim_degree(n, d - a) for a, c in terms)
 
 
+def _standard_levels(K: _Kernel, leads):
+    """The packed standard monomials of the packed leads, one set per degree
+    0, 1, 2, ...: a monomial is standard when it is no lead and every
+    m - unit (a guard bit set where m has no such unit) is standard.  The
+    leads are read when a degree is reached, so the list may grow, and each
+    degree grows from the set last yielded, so a caller may remove a lead of
+    the last degree from it.  A degree past K.limit raises OverflowError."""
+    units = [1 << s for s in K.shifts]
+    guard = K.guard
+    level = {0}
+    for d in itertools.count():
+        level.difference_update(l for l in leads if K.degree(l) == d)
+        yield level
+        if d == K.limit:
+            raise OverflowError(f"degree {d + 1} overflows the packed monomials")
+        below = level
+        level = {m + u for m in below for u in units}
+        level = {m for m in level if all((m - u) & guard or m - u in below for u in units)}
+
+
 def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> GroebnerBasis:
     """Unique reduced Groebner basis; normal pair selection, coprime-pair and
     chain criteria, Hilbert-driven pair skipping, then minimalization and
@@ -382,8 +401,10 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
     # reduces to zero.  std is (d, the standard monomials of degree d, packed,
     # floor(d)) for the last degree counted.
     floor = _quotient_floor([K.degree(e) for e in lm], n)
-    units = [1 << s for s in K.shifts]
     held = sum(map(len, basis))
+    # pairs come by degree, so the leads below d are final when d is first
+    # counted, and a new lead of degree d leaves std[1] when it is found
+    levels = enumerate(_standard_levels(K, lm))
     std = None
     armed = -1  # the degree of the last S-pair that reduced to zero
 
@@ -394,20 +415,9 @@ def buchberger_reduced(ideal: IdealHandle, order: MonomialOrder = CANONICAL) -> 
         if std is None or std[0] != d:
             if dim_degree(n, d) > n * held:
                 return False
-            # a monomial is standard when it is not a lead and every
-            # m - unit (a guard bit set where m has no such unit) is
-            # standard; the leads of the degrees below d are final
-            at, level = (0, {0} - set(lm)) if std is None else std[:2]
+            at, level = std[:2] if std else (-1, None)
             while at < d:
-                at += 1
-                below = level
-                level = {m + u for m in below for u in units}
-                level = {
-                    m
-                    for m in level
-                    if all((m - u) & guard or m - u in below for u in units)
-                }
-                level.difference_update(l for l in lm if K.degree(l) == at)
+                at, level = next(levels)
             std = (d, level, floor(d))
         return len(std[1]) == std[2]
 
@@ -568,12 +578,15 @@ class HilbertData:
 
 
 def _ideal_dims(I: IdealHandle):
-    """dim I_0, dim I_1, ... without end, counted from the canonical initial
-    ideal."""
-    lms = I.groebner(CANONICAL).leads
-    for d in itertools.count():
-        monos = monomials_of_degree(I.ring.n, d)
-        yield sum(1 for m in monos if any(mono_divides(l, m) for l in lms))
+    """dim I_0, dim I_1, ... without end: the monomials of each degree less
+    the standard ones of the canonical initial ideal."""
+    leads = I.groebner(CANONICAL).leads
+    # each degree costs the read microseconds, so none reaches the limit,
+    # 2^41 - 1, of a kernel sized for 2^32
+    K = _Kernel(CANONICAL, I.ring, 1 << 32)
+    levels = _standard_levels(K, [K.exponent(m) for m in leads])
+    for d, level in enumerate(levels):
+        yield dim_degree(I.ring.n, d) - len(level)
 
 
 def hilbert_function(I: IdealHandle, dmax: int) -> HilbertData:
@@ -697,11 +710,13 @@ def specialize_t(H: HomogenizedIdeal, a) -> IdealHandle:
 # ideal file format
 
 
-def parse_ideal_file(text: str):
+def parse_ideal_file(text: str, field=None):
     """Parse the ideal file format.
 
     Header declares ``ring: Q | GF(p)`` and ``vars: x,y,z``; a ``gens:`` line
-    is followed by one polynomial per line.  Returns (ring, IdealHandle).
+    is followed by one polynomial per line.  A field, when given, replaces
+    the header's, and the polynomials are read in it.  Returns (ring,
+    IdealHandle).
     """
     fld = None
     names = None
@@ -728,7 +743,7 @@ def parse_ideal_file(text: str):
                 raise ValueError(f"line {lineno}: unexpected {part!r}")
     if fld is None or names is None:
         raise ValueError("missing ring or vars header")
-    ring = PolyRing(names, fld)
+    ring = PolyRing(names, field or fld)
     polys = []
     for lineno, line in gens:
         try:

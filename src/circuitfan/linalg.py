@@ -33,12 +33,6 @@ class GradedMatrix:
     def ncols(self) -> int:
         return len(self.basis)
 
-    def row_polynomials(self) -> list:
-        return [
-            Polynomial(self.ring, {m: c for m, c in zip(self.basis, row) if c})
-            for row in self.rows
-        ]
-
     def support_columns(self) -> list:
         """Monomials appearing in the support of some element of the space."""
         return [m for m, column in zip(self.basis, zip(*self.rows)) if any(column)]
@@ -69,8 +63,6 @@ def span_matrix(ring: PolyRing, degree: int, polys) -> GradedMatrix:
     index = {m: j for j, m in enumerate(basis)}
     raw = []
     for f in polys:
-        if f.is_zero():
-            continue
         row = [0] * len(basis)
         for m, c in f.terms.items():
             if sum(m) != degree:

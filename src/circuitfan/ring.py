@@ -163,10 +163,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(operator.add, a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(operator.le, a, b))
-
-
 def canonical_key(m: Monomial):
     """Sort key realizing degrevlex with declared variable order; larger key
     means larger monomial."""

@@ -2,8 +2,9 @@
 GF(p), brute-force circuit enumeration straight from the rank criterion,
 with no pruning and no quotient-space shortcut, and the plain formatting of
 circuits sets and polynomials, by key lists and scalar comparisons, and the
-term-by-term expansion of a substitution; and the helpers that only tests
-use: monomial quotients, diagonal changes, weight component dimensions and
+term-by-term expansion of a substitution, and the Hilbert function by a
+divisibility scan; and the helpers that only tests use: monomial
+divisibility and quotients, diagonal changes, weight component dimensions and
 initial spaces by Gauss-Jordan on weight-sorted columns, ideal file text
 and Borel matrix products."""
 import itertools
@@ -161,6 +162,21 @@ def substitution_apply_reference(s: Substitution, f: Polynomial) -> Polynomial:
             piece = piece * powers[i, e]
         out = out + piece
     return out
+
+
+def mono_divides(a: Monomial, b: Monomial) -> bool:
+    """Whether a divides b, exponent by exponent."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def ideal_dims_reference(I: IdealHandle, dmax: int) -> tuple:
+    """dim I_d for d = 0..dmax, by testing every monomial of degree d
+    against every leading monomial of the canonical reduced basis."""
+    leads = I.groebner(DRL).leads
+    return tuple(
+        sum(any(mono_divides(l, m) for l in leads) for m in monomials_of_degree(I.ring.n, d))
+        for d in range(dmax + 1)
+    )
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:

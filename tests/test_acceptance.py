@@ -10,6 +10,7 @@ from circuitfan import (
     LEX,
     IdealHandle,
     PolyRing,
+    Polynomial,
     PrimeField,
     RandomSpec,
     Substitution,
@@ -233,7 +234,8 @@ def test_10_filtration_ranks():
                         m[i][j] = Fraction(rng.randint(-4, 4))
             # the Borel element acts by columns, a substitution by rows
             s = Substitution(ring, list(zip(*m)))
-            bW = span_matrix(ring, d, [s.apply(f) for f in W.row_polynomials()])
+            rows = [Polynomial(ring, dict(zip(W.basis, row))) for row in W.rows]
+            bW = span_matrix(ring, d, [s.apply(f) for f in rows])
             assert alpha_vector(bW, w) >= a
 
 

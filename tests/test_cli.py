@@ -364,6 +364,33 @@ class TestFieldOverride:
         assert code == 0
         assert doc["basis"]["elements"] == ["x^2 + x*y + y^2"]
 
+    @pytest.mark.parametrize(
+        "field, elements",
+        [("Q", ["x - y", "y^2"]), ("gf:32003", ["x + 32002*y", "y^2"]), ("gf:7", ["x + 6*y", "y^2"])],
+        ids=["Q", "GF32003", "GF7"],
+    )
+    def test_generators_read_in_the_override_field(self, capsys, tmp_path, field, elements):
+        # the text, not its GF(7) reading (x + 6*y), is read in the override field
+        path = tmp_path / "gf7.ideal"
+        path.write_text("ring: GF(7); vars: x,y\ngens:\nx - y\n8*x^2 + y^2\n")
+        code, doc = run(capsys, ["gb", str(path), "--field", field])
+        assert code == 0
+        assert doc["basis"]["elements"] == elements
+
+    @pytest.mark.parametrize(
+        "argv", [["gb", "Q7"], ["fan-compare", "I", "--other", "Q7"]], ids=["gb", "other"]
+    )
+    def test_override_parse_error_names_its_line(self, capsys, tmp_path, ideal_file, argv):
+        path = tmp_path / "q.ideal"
+        path.write_text("ring: Q; vars: x,y\ngens:\nx^2\n1/7*y\n")
+        argv = [{"Q7": str(path), "I": ideal_file}.get(a, a) for a in argv]
+        code, doc = run(capsys, argv + ["--field", "gf:7"])
+        assert code == 1
+        assert doc["error"] == {
+            "kind": "ValueError",
+            "reason": "line 4: denominator of '1/7' is zero in GF(7)",
+        }
+
     def test_gcs_gf_flagged(self, capsys, ideal_file):
         _, doc = run(
             capsys, ["gcs", ideal_file, "--trunc", "2", "--field", "gf:32003"]
@@ -535,6 +562,23 @@ class TestExitCodes:
         assert code == 2
         assert "circuits" not in doc
         assert doc["error"]["kind"] == "UncertifiedError"
+
+    def test_deeply_nested_order_exit_1(self, capsys, pair_file):
+        # 1,199 nested weights pass the interpreter's recursion limit
+        order = "".join(f"w:{i},0;tie=" for i in range(1, 1200)) + "drl"
+        code, doc = run(capsys, ["gb", pair_file, "--order", order])
+        assert code == 1
+        assert "basis" not in doc
+        assert doc["error"]["kind"] == "RecursionError"
+
+    def test_out_of_memory_exit_2(self, capsys, ideal_file, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("circuitfan.cli.generic_fan_compare", exhausted)
+        code, doc = run(capsys, ["fan-compare", ideal_file, "--other", ideal_file])
+        assert code == 2
+        assert doc["error"] == {"kind": "MemoryError", "reason": "out of memory"}
 
     def test_weight_length_mismatch(self, capsys, pair_file):
         code, doc = run(capsys, ["gb", pair_file, "--order", "w:1;tie=drl"])

@@ -33,6 +33,7 @@ from circuitfan.groebner import (
     MacaulayError,
     _Kernel,
     _quotient_floor,
+    _standard_levels,
     basis_json,
     lex_bound,
 )
@@ -41,14 +42,19 @@ from circuitfan.ring import (
     QQ,
     PrimeField,
     Polynomial,
-    mono_divides,
     mono_mul,
     monomials_of_degree,
     poly_str,
 )
 
 from conftest import VARS, make_suite, over, random_homogeneous
-from oracles import diagonal_change, ideal_file_text, mono_div
+from oracles import (
+    diagonal_change,
+    ideal_dims_reference,
+    ideal_file_text,
+    mono_div,
+    mono_divides,
+)
 
 
 @pytest.fixture
@@ -271,7 +277,6 @@ class TestBuchberger:
 
     def test_reducedness(self, suite):
         from circuitfan.order import leading_monomial
-        from circuitfan.ring import mono_divides
 
         for I in suite[:8]:
             gb = I.groebner(DRL)
@@ -806,6 +811,39 @@ class TestHilbert:
     def test_zero_ideal(self, R):
         H = hilbert_function(IdealHandle(R, []), 3)
         assert H.ideal_dims == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("field", [QQ, GF], ids=["Q", "GF32003"])
+    def test_matches_divisibility_scan_on_suite(self, suite, field):
+        # n + 3 degrees past the lex bound D
+        for I in suite:
+            I = over(field, I)
+            dmax = lex_bound(I)[1] + I.ring.n + 3
+            assert hilbert_function(I, dmax).ideal_dims == ideal_dims_reference(I, dmax), I
+
+    @pytest.mark.parametrize(
+        "names, gens, dmax",
+        [
+            (("x", "y", "z"), ["x^5 - y^4*z", "y^5 - x*z^4"], 60),
+            (("x", "y"), [], 8),
+            (("x", "y", "z"), ["1"], 8),
+            # past 511, the limit of a kernel sized for the leads' degree 1
+            (("x", "y"), ["x"], 600),
+        ],
+        ids=["x5-pair", "zero", "unit", "x-to-600"],
+    )
+    def test_matches_divisibility_scan(self, names, gens, dmax):
+        ring = PolyRing(names)
+        I = IdealHandle(ring, [ring.parse(g) for g in gens])
+        assert hilbert_function(I, dmax).ideal_dims == ideal_dims_reference(I, dmax)
+
+    def test_standard_levels_stop_at_the_packing_limit(self, R):
+        # (x) has one standard monomial, y^d, in every degree d the packing
+        # holds; the next degree would wrap into the guard bits
+        K = _Kernel(DRL, R, 1)
+        levels = _standard_levels(K, [K.exponent((1, 0))])
+        assert [len(level) for level in itertools.islice(levels, K.limit + 1)] == [1] * (K.limit + 1)
+        with pytest.raises(OverflowError):
+            next(levels)
 
     def test_preserved_by_initial_ideals(self, suite, suite_rng):
         rng = suite_rng
