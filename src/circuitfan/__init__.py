@@ -16,7 +16,7 @@ from .ring import (
     weight_value,
 )
 from .order import CANONICAL, DRL, LEX, MonomialOrder, leading_term, parse_order, weighted
-from .linalg import GradedMatrix, graded_basis, initial_space_w, rank_rel, span_matrix
+from .linalg import GradedMatrix, graded_basis, initial_space_w, span_matrix
 from .groebner import (
     GroebnerBasis,
     HilbertData,
@@ -27,7 +27,6 @@ from .groebner import (
     ideal_equal,
     initial_ideal,
     initial_ideal_w,
-    lex_segment,
     normal_form,
     parse_ideal_file,
     specialize_t,

@@ -12,7 +12,7 @@ from .circuits import circuits_truncated
 from .generic import RandomSpec, gcs_truncated
 from .groebner import IdealHandle, hilbert_function, initial_split_w, lex_bound
 from .order import CANONICAL, DRL, MonomialOrder, leading_term, weighted
-from .ring import Polynomial, initial_support_w, make_weight, poly_str
+from .ring import Polynomial, initial_form_w, make_weight, poly_str
 
 
 class FanConsistencyError(RuntimeError):
@@ -149,6 +149,8 @@ def _cone(splits) -> Cone:
 def _grid_representatives(n: int, B: int, step: int):
     """Grid weights with minimum entry pinned to -B: one representative per
     all-ones translate class meeting the box."""
+    if B < 1 or step < 1:
+        raise ValueError("box bound and step must be positive")
     axis = range(-B, B + 1, step)
     for w in itertools.product(axis, repeat=n):
         if min(w) == -B:
@@ -161,8 +163,6 @@ def enumerate_fan(I: IdealHandle, B: int, step: int = 1, tie: MonomialOrder = DR
     Every sampled weight is either strictly inside a recorded cone or opens a
     new cell whose cone it must strictly satisfy.
     """
-    if B < 1 or step < 1:
-        raise ValueError("box bound and step must be positive")
     # most recently matched or opened first: neighbouring grid weights mostly
     # share a cell, and relative interiors of distinct cells are disjoint, so
     # the order of the scan changes no match
@@ -202,13 +202,13 @@ def newton_fan_oracle(f: Polynomial, B: int = 4, step: int = 1) -> FanSketch:
     cells = []
     seen = set()
     for w in _grid_representatives(f.ring.n, B, step):
-        argmax = initial_support_w(f.terms, w)
+        form = initial_form_w(f, w)
+        argmax = frozenset(form.terms)
         if argmax in seen:
             continue
         seen.add(argmax)
         # the monic initial form is the canonical reduced basis of the
         # initial ideal of a principal ideal, as the sampler records it
-        form = Polynomial(f.ring, {m: f.terms[m] for m in argmax})
         _, lc = leading_term(form, CANONICAL)
         monic = form.scale(Fraction(1, lc))
         cone = _cone([(argmax, f.terms.keys() - argmax)])

@@ -26,21 +26,18 @@ def _rng(spec: RandomSpec, stream: int) -> random.Random:
     return random.Random(spec.seed * 1_000_003 + stream)
 
 
-def _random_invertible(rng: random.Random, ring: PolyRing, bound: int):
+def random_change(spec: RandomSpec, ring: PolyRing, stream: int = 0) -> Substitution:
+    """Deterministic-per-seed invertible row-action substitution."""
+    rng = _rng(spec, stream)
     fld = ring.field
     n = ring.n
     for _ in range(64):
-        m = [[fld.random(rng, bound) for _ in range(n)] for _ in range(n)]
+        m = [[fld.random(rng, spec.entry_bound) for _ in range(n)] for _ in range(n)]
         try:
             return Substitution(ring, m)
         except ValueError:
             continue
     raise UncertifiedError("could not sample an invertible matrix")
-
-
-def random_change(spec: RandomSpec, ring: PolyRing, stream: int = 0) -> Substitution:
-    """Deterministic-per-seed invertible row-action substitution."""
-    return _random_invertible(_rng(spec, stream), ring, spec.entry_bound)
 
 
 def normalize_weight(w):

@@ -18,7 +18,7 @@ from .ring import (
     dim_degree,
     field_from_spec,
     homogenize_w,
-    initial_support_w,
+    initial_form_w,
     monomials_of_degree,
     poly_str,
     specialize_last,
@@ -524,23 +524,23 @@ def initial_ideal_w(I: IdealHandle, w, tie: MonomialOrder = DRL) -> IdealHandle:
 def initial_split_w(I: IdealHandle, w, tie: MonomialOrder = DRL):
     """(in_w(I), splits) from one walk over the weight-refined reduced basis.
 
-    Each element splits once, by ``initial_support_w``, into its monomials of
-    maximal weight, which carry its initial form, and the rest; splits holds
-    (initial monomials, other monomials) for each element.  An element's lead
-    is its tie-greatest term of greatest weight, so it also leads the form,
-    and the form keeps a subset of the element's tail: sorted by the tie key
-    of their leads, the forms are monic and reduced, a tie-Groebner basis of
-    in_w(I), and the returned handle holds that basis, built with those
-    leads, as its tie-reduced one."""
+    Each element's initial form, by ``initial_form_w``, keeps every term of
+    maximal weight, as the element's coefficients are nonzero, so splits
+    holds (the form's monomials, the element's other monomials) for each
+    element.  An element's lead is its tie-greatest term of greatest weight,
+    so it also leads the form, and the form keeps a subset of the element's
+    tail: sorted by the tie key of their leads, the forms are monic and
+    reduced, a tie-Groebner basis of in_w(I), and the returned handle holds
+    that basis, built with those leads, as its tie-reduced one."""
     order = weighted(w, tie=tie)
     w = order.weight
     gb = I.groebner(order)  # checks the weight's length
     ranked = []
     splits = []
     for g, lead in zip(gb.elements, gb.leads):
-        top = initial_support_w(g.terms, w)
+        form = initial_form_w(g, w)
+        top = form.terms.keys()
         splits.append((top, g.terms.keys() - top))
-        form = Polynomial(I.ring, {m: c for m, c in g.terms.items() if m in top})
         ranked.append((tie.key(lead), lead, form))
     ranked.sort(key=lambda r: r[0])
     J = IdealHandle(I.ring, [f for _, _, f in ranked])
@@ -564,14 +564,10 @@ def transform_ideal(s: Substitution, I: IdealHandle) -> IdealHandle:
 
 @dataclass(frozen=True)
 class HilbertData:
-    """dim I_d in n variables for d = 0..dmax, with dmax read off the dims."""
+    """dim I_d in n variables for d = 0, 1, ..., as far as the dims go."""
 
     n: int
-    ideal_dims: tuple  # dim I_d for d = 0..dmax
-
-    @property
-    def dmax(self) -> int:
-        return len(self.ideal_dims) - 1
+    ideal_dims: tuple  # dim I_d for d = 0, 1, ...
 
     def quotient_dims(self) -> tuple:
         return tuple(dim_degree(self.n, d) - v for d, v in enumerate(self.ideal_dims))
@@ -620,29 +616,6 @@ def _lex_read(ring: PolyRing, dims, delta: int):
             break
         prev = set(seg)
     return IdealHandle(ring, [ring.monomial(m) for m in generators]), top_degree
-
-
-def lex_segment(H: HilbertData, ring: PolyRing, cap: int):
-    """Lex-segment ideal realizing the Hilbert data up to degree cap, with its
-    top generator degree.
-
-    Returns (monomial IdealHandle, D).  Raises MacaulayError when the data is
-    not realized by degreewise lex segments, and CapTooSmallError when a
-    generator appears in degree cap itself.  Data up to cap cannot show that no
-    generator comes later: only lex_bound certifies that D is final.
-    """
-    if H.n != ring.n:
-        raise ValueError(f"Hilbert data in {H.n} variables for a ring in {ring.n}")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    if cap > H.dmax:
-        raise ValueError("cap exceeds the available Hilbert data")
-    L, D = _lex_read(ring, H.ideal_dims[: cap + 1], cap)
-    if D == cap:
-        raise CapTooSmallError(
-            f"lex-segment generators appear in degree {cap}; increase cap beyond {cap}"
-        )
-    return L, D
 
 
 def lex_bound(I: IdealHandle, cap: int = None):

@@ -1,5 +1,5 @@
-"""Exact linear algebra on graded pieces: coordinate matrices, ranks,
-relative rank functionals and weight echelons."""
+"""Exact linear algebra on graded pieces: coordinate matrices, ranks and
+weight echelons."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -89,24 +89,6 @@ def graded_basis(ideal, d: int) -> GradedMatrix:
         for m in monomials_of_degree(ring.n, gap):
             polys.append(g.mul_monomial(m))
     return span_matrix(ring, d, polys)
-
-
-def rank_rel(W: GradedMatrix, S) -> int:
-    """Relative rank of a set S of distinct degree-d monomials against a
-    subspace W of the degree-d piece: dim(W + <S>) - |S|."""
-    S = list(S)
-    for m in S:
-        if sum(m) != W.degree:
-            raise ValueError(f"monomial {m} has wrong degree")
-    if len(set(S)) != len(S):
-        raise ValueError("monomial set has repeats")
-    index = {m: j for j, m in enumerate(W.basis)}
-    rows = [list(r) for r in W.rows]
-    for m in S:
-        row = [0] * W.ncols
-        row[index[m]] = 1
-        rows.append(row)
-    return exact_rank(rows, W.ring.field.characteristic) - len(S)
 
 
 def weight_echelon(W: GradedMatrix, w) -> list:

@@ -3,16 +3,19 @@ GF(p), brute-force circuit enumeration straight from the rank criterion,
 with no pruning and no quotient-space shortcut, and the plain formatting of
 circuits sets and polynomials, by key lists and scalar comparisons, and the
 term-by-term expansion of a substitution, and the Hilbert function by a
-divisibility scan; and the helpers that only tests use: monomial
-divisibility and quotients, diagonal changes, weight component dimensions and
-initial spaces by Gauss-Jordan on weight-sorted columns, ideal file text
-and Borel matrix products."""
+divisibility scan; the two references that no library code calls:
+``rank_rel``, the relative rank of a monomial set against a graded piece,
+and ``lex_segment``, the lex-segment ideal of given Hilbert data up to a
+cap; and the helpers that only tests use: monomial divisibility and
+quotients, diagonal changes, weight component dimensions and initial spaces
+by Gauss-Jordan on weight-sorted columns, ideal file text and Borel matrix
+products."""
 import itertools
 from fractions import Fraction
 
 from circuitfan.generic import BorelOmegaElement
-from circuitfan.groebner import IdealHandle
-from circuitfan.linalg import GradedMatrix, rank_rel
+from circuitfan.groebner import CapTooSmallError, HilbertData, IdealHandle, _lex_read
+from circuitfan.linalg import GradedMatrix, exact_rank
 from circuitfan.order import DRL, MonomialOrder, weighted
 from circuitfan.ring import (
     Monomial,
@@ -57,6 +60,24 @@ def rref_reference(rows, p: int):
 def rank_reference(rows, p: int) -> int:
     """Rank as the number of Gauss-Jordan pivots."""
     return len(rref_reference(rows, p)[1])
+
+
+def rank_rel(W: GradedMatrix, S) -> int:
+    """Relative rank of a set S of distinct degree-d monomials against a
+    subspace W of the degree-d piece: dim(W + <S>) - |S|."""
+    S = list(S)
+    for m in S:
+        if sum(m) != W.degree:
+            raise ValueError(f"monomial {m} has wrong degree")
+    if len(set(S)) != len(S):
+        raise ValueError("monomial set has repeats")
+    index = {m: j for j, m in enumerate(W.basis)}
+    rows = [list(r) for r in W.rows]
+    for m in S:
+        row = [0] * W.ncols
+        row[index[m]] = 1
+        rows.append(row)
+    return exact_rank(rows, W.ring.field.characteristic) - len(S)
 
 
 def inverse_reference(rows, p: int) -> tuple:
@@ -177,6 +198,29 @@ def ideal_dims_reference(I: IdealHandle, dmax: int) -> tuple:
         sum(any(mono_divides(l, m) for l in leads) for m in monomials_of_degree(I.ring.n, d))
         for d in range(dmax + 1)
     )
+
+
+def lex_segment(H: HilbertData, ring: PolyRing, cap: int):
+    """Lex-segment ideal realizing the Hilbert data up to degree cap, with its
+    top generator degree.
+
+    Returns (monomial IdealHandle, D).  Raises MacaulayError when the data is
+    not realized by degreewise lex segments, and CapTooSmallError when a
+    generator appears in degree cap itself.  Data up to cap cannot show that no
+    generator comes later: only lex_bound certifies that D is final.
+    """
+    if H.n != ring.n:
+        raise ValueError(f"Hilbert data in {H.n} variables for a ring in {ring.n}")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    if cap >= len(H.ideal_dims):
+        raise ValueError("cap exceeds the available Hilbert data")
+    L, D = _lex_read(ring, H.ideal_dims[: cap + 1], cap)
+    if D == cap:
+        raise CapTooSmallError(
+            f"lex-segment generators appear in degree {cap}; increase cap beyond {cap}"
+        )
+    return L, D
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:

@@ -18,7 +18,6 @@ from circuitfan import (
     initial_space_w,
     is_circuit,
     random_change,
-    rank_rel,
     span_matrix,
     transform_ideal,
 )
@@ -27,7 +26,7 @@ from circuitfan.linalg import graded_basis
 from circuitfan.ring import QQ, Polynomial, monomials_of_degree
 
 from conftest import over, random_homogeneous
-from oracles import circuits_bruteforce, weight_component_dims
+from oracles import circuits_bruteforce, rank_rel, weight_component_dims
 
 
 X, Y = (1, 0), (0, 1)

@@ -438,8 +438,13 @@ class TestExitCodes:
             # TWISTED is in three variables
             (IDEAL, ["fan-compare", "--other", "TWISTED"], "ideals in different rings"),
             (IDEAL, ["alpha", "--weight", "1,0", "--degree", "-1"], "degree must be non-negative"),
+            (IDEAL, ["fan-enum", "--oracle", "--box", "0"], "box bound and step must be positive"),
+            (IDEAL, ["fan-enum", "--oracle", "--step", "0"], "box bound and step must be positive"),
         ],
-        ids=["oracle", "header", "repeated-var", "var-name", "trunc", "dmax", "cap", "negative-cap", "rings", "degree"],
+        ids=[
+            "oracle", "header", "repeated-var", "var-name", "trunc", "dmax", "cap", "negative-cap", "rings",
+            "degree", "oracle-box", "oracle-step",
+        ],
     )
     def test_bad_input_document(self, capsys, tmp_path, text, argv, reason):
         path = tmp_path / "I.ideal"
@@ -579,6 +584,24 @@ class TestExitCodes:
         code, doc = run(capsys, ["fan-compare", ideal_file, "--other", ideal_file])
         assert code == 2
         assert doc["error"] == {"kind": "MemoryError", "reason": "out of memory"}
+
+    @pytest.mark.parametrize(
+        "equality, reason",
+        [
+            ((1, 0), "weight (-2, -2) is not interior to its own cone"),
+            ((1, -1), "weights (-2, -2) and (-2, -1) share an initial ideal but not a cone"),
+        ],
+        ids=["not-interior", "shared-ideal"],
+    )
+    def test_fan_inconsistency_exit_2(self, capsys, tmp_path, monkeypatch, equality, reason):
+        # (x) has one cell; a patched _cone contradicts the sampled weights
+        monkeypatch.setattr("circuitfan.fan._cone", lambda splits: circuitfan.Cone.build([equality], []))
+        path = tmp_path / "x.ideal"
+        path.write_text("ring: Q; vars: x,y\ngens:\nx\n")
+        code, doc = run(capsys, ["fan-enum", str(path), "--box", "2"])
+        assert code == 2
+        assert "cells" not in doc
+        assert doc["error"] == {"kind": "FanConsistencyError", "reason": reason}
 
     def test_weight_length_mismatch(self, capsys, pair_file):
         code, doc = run(capsys, ["gb", pair_file, "--order", "w:1;tie=drl"])

@@ -225,10 +225,30 @@ class TestEnumerateFan:
                         ]
                     assert cell.cone == Cone.build(eqs, ins), (I, tie, w)
 
-    def test_bad_box(self, R):
+    @pytest.mark.parametrize("B, step", [(0, 1), (-2, 1), (2, 0), (2, -1)])
+    @pytest.mark.parametrize("sampler", [enumerate_fan, newton_fan_oracle], ids=["enumerate_fan", "oracle"])
+    def test_bad_box(self, R, sampler, B, step):
+        # both samplers read one grid, which refuses a box or step below 1
         I = IdealHandle(R, [R.parse("x")])
-        with pytest.raises(ValueError):
-            enumerate_fan(I, 0)
+        arg = I if sampler is enumerate_fan else I.generators[0]
+        with pytest.raises(ValueError, match="box bound and step must be positive"):
+            sampler(arg, B, step)
+
+    # (x) has one cell, the whole space; a patched _cone contradicts it
+    # at the first grid weight (-2, -2) or at the second, (-2, -1)
+    @pytest.mark.parametrize(
+        "equality, reason",
+        [
+            ((1, 0), "weight (-2, -2) is not interior to its own cone"),
+            ((1, -1), "weights (-2, -2) and (-2, -1) share an initial ideal but not a cone"),
+        ],
+        ids=["not-interior", "shared-ideal"],
+    )
+    def test_consistency_certificates(self, R, monkeypatch, equality, reason):
+        monkeypatch.setattr("circuitfan.fan._cone", lambda splits: Cone.build([equality], []))
+        with pytest.raises(FanConsistencyError) as err:
+            enumerate_fan(IdealHandle(R, [R.parse("x")]), 2)
+        assert str(err.value) == reason
 
     def test_json_schema(self, R):
         sketch = enumerate_fan(IdealHandle(R, [R.parse("x + y")]), 2)

