@@ -51,17 +51,20 @@ class CircuitsSet:
 
 
 def _quotient_images(W: GradedMatrix):
-    """Images of the monomials of the piece in the quotient space, scaled to
-    int tuples, which keeps linear dependence: a pivot monomial's is minus
-    the non-pivot tail of its echelon row, a non-pivot monomial's its own
-    coordinate vector.  Over GF(p) a tail's entries are ints in (-p, 0],
-    nonzero exactly where the echelon entry is; the circuit search and
-    ``exact_rank`` reduce them mod p.
+    """Images of the n support monomials of the piece in the quotient of
+    their span by the subspace, of the codimension n - dim in the span of the
+    support, scaled to int tuples, which keeps linear dependence: a pivot
+    monomial's is minus the non-pivot support tail of its echelon row, a
+    non-pivot one's its own coordinate vector.  A monomial off the support is
+    in no circuit and has no image.  Over GF(p) a tail's entries are ints in
+    (-p, 0], nonzero exactly where the echelon entry is; the circuit search
+    and ``exact_rank`` reduce them mod p.
     """
     row_of = {next(j for j, x in enumerate(r) if x): r for r in W.rows}
-    nonpivot = [j for j in range(W.ncols) if j not in row_of]
+    support = {j: m for j, (m, col) in enumerate(zip(W.basis, zip(*W.rows))) if any(col)}
+    nonpivot = [j for j in support if j not in row_of]
     images = {}
-    for j, m in enumerate(W.basis):
+    for j, m in support.items():
         if j in row_of:
             images[m] = tuple(-row_of[j][k] for k in nonpivot)
         else:
@@ -74,7 +77,8 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
 
     Depth-first search over the independent sets S of support monomials,
     each extended only by monomials after its last one.  A node holds one
-    row per monomial b after S, exactly q + 1 wide for the codimension q:
+    row per monomial b after S, exactly q + 1 wide for the codimension
+    q = n - dim of the subspace in the span of its n support monomials:
     ``[image residual on the q - |S| columns left | one slot per monomial
     of S | own coefficient]``, the residual of b's quotient image against S
     and the combination of S + {b} it is.  The child S + {a} reduces each
@@ -91,7 +95,7 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
     holds only the nodes on one path.
 
     Returns (frozenset of circuits, truncated); the flag is set when the size
-    cap stopped the enumeration early.
+    cap is below q + 1 and n, so a circuit above the cap may be left out.
     """
     # the cap is checked first, so a bad one fails whatever the piece holds
     if size_cap is not None and size_cap < 1:
@@ -100,9 +104,9 @@ def circuits_of_space(W: GradedMatrix, size_cap: int = None):
     candidates = W.support_columns()
     n = len(candidates)
     images = _quotient_images(W)
-    # the images have length codim; a dependent set of size codim+1 always
-    # exists inside any larger set, so circuits never exceed codim+1
-    q = W.ncols - W.dim
+    # the images have length q = n - dim, the codimension in the span of the
+    # support; any larger set than q+1 holds a dependent one of size q+1
+    q = n - W.dim
     max_size = q + 1
     limit = min(size_cap or n, max_size, n)
     truncated = limit < min(max_size, n)

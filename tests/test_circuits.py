@@ -143,8 +143,8 @@ class TestEnumeration:
                 for kind in ("whole", "line", "narrow", "random") * 2:
                     W = self.random_subspace(ring, d, rng, kind)
                     full = circuits_bruteforce(W)
-                    q = W.ncols - W.dim
                     n = len(W.support_columns())
+                    q = n - W.dim
                     if kind == "whole":
                         assert q == 0 and full == {frozenset([m]) for m in W.basis}
                     elif kind == "line":
@@ -152,10 +152,12 @@ class TestEnumeration:
                     elif kind == "narrow":
                         assert n < W.ncols
                     assert circuits_of_space(W) == (full, False)
-                    for k in range(1, q + 2):
+                    # caps up to the codimension in the whole piece, past q + 1
+                    for k in range(1, W.ncols - W.dim + 2):
                         circ, truncated = circuits_of_space(W, size_cap=k)
                         assert circ == {c for c in full if len(c) <= k}
                         assert truncated == (min(k, q + 1, n) < min(q + 1, n))
+                        assert truncated or circ == full
 
     @pytest.mark.parametrize("fld", [QQ, PrimeField(32003)], ids=str)
     def test_uniform_piece(self, fld):
@@ -217,11 +219,13 @@ class TestEnumeration:
                 if W.dim == 0:
                     continue
                 full = circuits_bruteforce(W)
-                bound = min(W.ncols - W.dim + 1, len(W.support_columns()))
+                n = len(W.support_columns())
+                bound = min(n - W.dim + 1, n)
                 for k in (1, 2, 3):
                     circ, truncated = circuits_of_space(W, size_cap=k)
                     assert circ == {c for c in full if len(c) <= k}
                     assert truncated == (k < bound)
+                    assert truncated or circ == full
 
     def test_antichain(self, suite):
         for I in suite[:8]:
@@ -253,18 +257,41 @@ class TestEnumeration:
                 assert any(c <= supp for c in circ)
 
     def test_size_bounded_by_codim_plus_one(self, suite):
-        for I in suite[:8]:
-            for d in (2, 3):
-                W = graded_basis(I, d)
-                circ, _ = circuits_of_space(W)
-                for c in circ:
-                    assert len(c) <= W.ncols - W.dim + 1
+        # the codimension in the span of the support, n - dim, bounds the
+        # circuits; a piece with a monomial off its support and a circuit of
+        # n - dim + 1 monomials runs the spanning shortcut at that depth
+        for fld in (QQ, PrimeField(32003)):
+            reached = False
+            for I in suite[:10]:
+                I = over(fld, I)
+                for d in range(4):
+                    W = graded_basis(I, d)
+                    n = len(W.support_columns())
+                    circ, truncated = circuits_of_space(W)
+                    assert not truncated
+                    assert all(len(c) <= n - W.dim + 1 for c in circ)
+                    if W.ncols <= 10:
+                        assert circ == circuits_bruteforce(W)
+                    reached = reached or (n < W.ncols and any(len(c) == n - W.dim + 1 for c in circ))
+            assert reached, fld
 
     def test_truncation_flag(self, R):
         I = IdealHandle(R, [R.parse("x^3 + y^3")])
         cs = circuits_truncated(I, 3, size_cap=1)
         assert cs.truncated
         assert dict(cs.by_degree).get(3, frozenset()) == frozenset()
+
+    def test_size_cap_at_the_rank_of_the_support(self):
+        # the degree-2 piece of (x^2 - y*z, x*y - z^2) has 4 support
+        # monomials and dimension 2, so no circuit has more than 3 monomials,
+        # though the codimension in the 6 quadrics is 4
+        ring = PolyRing(("x", "y", "z"))
+        I = IdealHandle(ring, [ring.parse("x^2 - y*z"), ring.parse("x*y - z^2")])
+        W = graded_basis(I, 2)
+        full, truncated = circuits_of_space(W)
+        assert not truncated and len(full) == 2
+        assert circuits_of_space(W, size_cap=3) == (full, False)
+        assert circuits_of_space(W, size_cap=2) == (full, True)
 
     def test_truncation_flag_not_compared(self):
         # the size-cap flag is not part of the value: equal, equally hashed,
@@ -296,6 +323,12 @@ class TestMembership:
         assert not is_circuit(W, [])
         assert not is_circuit(W, [X, X])
         assert not is_circuit(W, [X, X2])  # x^2 is not in the degree-1 piece
+
+    def test_monomial_off_the_support(self, R):
+        # x*y is in the degree-2 piece but in no element of span(x^2 + y^2)
+        W = span_matrix(R, 2, [R.parse("x^2 + y^2")])
+        assert not is_circuit(W, [XY])
+        assert is_circuit(W, [X2, Y2])
 
     def test_agrees_with_enumeration(self, suite):
         import itertools

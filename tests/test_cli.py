@@ -463,6 +463,19 @@ class TestExitCodes:
         assert code == 2
         assert doc["truncated_at_size_cap"] == 1
 
+    def test_size_cap_at_the_rank_of_the_support(self, capsys, tmp_path):
+        # the degree-2 piece has 4 support monomials and dimension 2: a cap
+        # of 3 leaves no circuit out, a cap of 2 may
+        path = tmp_path / "tc.ideal"
+        path.write_text("ring: Q; vars: x,y,z\ngens:\nx^2 - y*z\nx*y - z^2\n")
+        code, full = run(capsys, ["circuits", str(path), "--trunc", "2"])
+        assert code == 0
+        code, doc = run(capsys, ["circuits", str(path), "--trunc", "2", "--size-cap", "3"])
+        assert code == 0 and "truncated_at_size_cap" not in doc
+        assert doc["circuits"] == full["circuits"]
+        code, doc = run(capsys, ["circuits", str(path), "--trunc", "2", "--size-cap", "2"])
+        assert code == 2 and doc["truncated_at_size_cap"] == 2
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_bad_size_cap_on_zero_pieces(self, capsys, tmp_path, cap):
         # the pieces up to degree 1 are zero, and the cap is refused anyway
